@@ -1,0 +1,78 @@
+#!/usr/bin/env python3
+"""Digest the reports of a fixed set of CLI runs, for refactors that must not move them.
+
+Usage: python scripts/report_digest.py [ROOT]
+
+Imports clifbundle from ROOT/src (default: this checkout), runs each command
+line in-process from ROOT, and prints one line per run: the exit code, a
+sha256 and the command.  The hash covers every file the run wrote, with the
+reports' wall_time_s dropped (the rule of perfbench/checks.output_digest),
+plus its stdout, with ROOT replaced by a placeholder.  Two checkouts whose
+reports agree byte-for-byte print identical lines.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+import traceback
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO / "perfbench"))
+
+from checks import output_digest  # noqa: E402
+
+RUNS = [
+    ["verify"],
+    ["verify", "--signature", "3,1", "--signature", "1,3", "--signature", "2,2"],
+    ["spinor-rep", "--signature", "3,1"],
+    ["spinor-rep", "--signature", "0,3"],
+    ["spinor-rep", "--signature", "1,3"],
+    ["spinor-rep", "--signature", "4,1"],
+    ["transport", "--scenario", "scenarios/qubit.json"],
+    ["transport", "--scenario", "scenarios/qubit_gauged.json"],
+    ["dirac", "--scenario", "dispersion"],
+    ["dirac", "--scenario", "dispersion", "--grid", "8,8,8"],
+    ["dirac", "--scenario", "dispersion", "--grid", "256",
+     "--potential", "plane-wave-gauge", "--charge", "0.5"],
+    ["dirac", "--scenario", "kg-roundtrip"],
+    ["dirac", "--scenario", "hermiticity"],
+    ["dirac", "--scenario", "dalembert", "--refine", "2"],
+    ["dirac", "--scenario", "wrap-check"],
+]
+
+
+def main(argv):
+    root = Path(argv[1] if len(argv) > 1 else REPO).resolve()
+    src = root / "src"
+    sys.path.insert(0, str(src))
+    import clifbundle
+    from clifbundle import cli
+
+    if src not in Path(clifbundle.__file__).resolve().parents:
+        raise SystemExit(f"clifbundle imported from {clifbundle.__file__}, not from {src}")
+    os.chdir(root)
+    marker = str(root).encode()
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, run in enumerate(RUNS):
+            out_dir = Path(tmp) / f"run{i:02d}"
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                try:
+                    rc = cli.main(run + ["--out", str(out_dir)])
+                except Exception as exc:  # an escaped exception is a result too
+                    traceback.print_exc()
+                    rc = type(exc).__name__
+            for path in out_dir.rglob("*"):
+                if path.is_file():
+                    path.write_bytes(path.read_bytes().replace(marker, b"<root>"))
+            h = hashlib.sha256(output_digest(out_dir).encode())
+            h.update(stdout.getvalue().encode().replace(marker, b"<root>"))
+            print(f"{rc} {h.hexdigest()} {' '.join(run)}", flush=True)
+
+
+if __name__ == "__main__":
+    main(sys.argv)

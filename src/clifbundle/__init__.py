@@ -14,6 +14,7 @@ Layers, bottom up:
 - cli: the `clifbundle` verification front end
 """
 
+from ._version import __version__
 from .config import DEFAULT_NMAX, HBAR, TransportTolerances, max_dimension
 from .ga import (
     Metric,
@@ -79,5 +80,3 @@ from .fields import (
     stress_tensor,
     wrapped_momentum,
 )
-
-__version__ = "0.1.0"

@@ -63,8 +63,10 @@ def _parse_tols(pairs) -> dict:
     return out
 
 
-def _write_report(report: Report, out_dir: str | None, filename: str) -> None:
-    text = report.to_json()
+def _write_report(
+    report: Report, out_dir: str | None, filename: str, extra: dict | None = None
+) -> None:
+    text = report.to_json(extra)
     if out_dir:
         path = FsPath(out_dir)
         path.mkdir(parents=True, exist_ok=True)
@@ -138,11 +140,7 @@ def cmd_verify(args) -> int:
     )
     for sig in sigs:
         _verify_signature(report, sig, rng)
-    for row in sp.verify_iso_table(signatures=[(s.p, s.q) for s in sigs]):
-        report.add(
-            row.name, residual=row.residual, tolerance=0.0,
-            relation=row.relation, details=row.details, passed=row.passed,
-        )
+    report.checks.extend(sp.verify_iso_table(signatures=[(s.p, s.q) for s in sigs]))
     _write_report(report, args.out, "verify_report.json")
     return report.exit_code
 
@@ -161,24 +159,24 @@ def cmd_spinor_rep(args) -> int:
         command="spinor-rep",
         config={"signature": f"{sig.p},{sig.q}", "seed": args.seed},
     )
+    metric = sig.metric()
     idem = sp.find_primitive_idempotent(sig)
     report.add_bool(
         "idempotent-search",
-        idem.whole_algebra or clifford(idem.idempotent, idem.idempotent, sig.metric()) == idem.idempotent,
+        idem.whole_algebra or clifford(idem.idempotent, idem.idempotent, metric) == idem.idempotent,
         relation="f f = f for the primitive idempotent",
         details=idem.note,
     )
-    matrices: dict = {}
+    basis = sp._ideal_basis(idem, metric)
+    gamma_set = sp.spinor_rep_matrices(basis, metric, sig)
     if idem.whole_algebra:
         report.add_bool(
             "minimal-ideal", True,
             relation="division algebra: the whole algebra is the minimal ideal",
             details=f"ideal dimension {idem.ideal_dimension}",
         )
-    gamma_set = sp.gamma_set_for_signature(sig)
-    if not idem.whole_algebra:
-        basis = sp.minimal_left_ideal(idem.idempotent, sig.metric())
-        invariance = sp.ideal_invariance_residual(basis, sig.metric())
+    else:
+        invariance = sp.ideal_invariance_residual(basis, metric)
         report.add(
             "minimal-ideal", residual=invariance, tolerance=0.0,
             relation="v (ideal) lies inside the ideal for every basis vector v",
@@ -207,18 +205,11 @@ def cmd_spinor_rep(args) -> int:
         "sigma-generators", residual=float(worst), tolerance=0.0,
         relation="4 sigma^{mu nu} = [g^mu, g^nu], antisymmetric in (mu, nu)",
     )
-    for mu, g in enumerate(gamma_set.gammas):
-        matrices[f"gamma_{mu + 1}"] = np.array(g, dtype=float).reshape(-1).tolist()
-    data = report.to_dict()
-    data["matrices"] = matrices
-    if args.out:
-        path = FsPath(args.out)
-        path.mkdir(parents=True, exist_ok=True)
-        (path / "spinor_rep_report.json").write_text(
-            json.dumps(data, sort_keys=True, indent=2) + "\n"
-        )
-    for line in report.summary_lines():
-        print(line)
+    matrices = {
+        f"gamma_{mu + 1}": np.array(g, dtype=float).reshape(-1).tolist()
+        for mu, g in enumerate(gamma_set.gammas)
+    }
+    _write_report(report, args.out, "spinor_rep_report.json", extra={"matrices": matrices})
     return report.exit_code
 
 

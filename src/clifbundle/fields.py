@@ -1,8 +1,8 @@
 """Flat-grid Dirac/Klein-Gordon operators and spin-vector constructions.
 
 Fields are complex arrays on uniform periodic grids; spatial derivatives
-are second-order central differences (np.roll), time stepping is the same
-classical 4th-order scheme as the transport module.  The Minkowski gamma
+are second-order central differences (np.roll), time stepping calls the
+transport module's RK4 stepper (transport.rk4_linear).  The Minkowski gamma
 sets are manufactured from the exact algebra-level representations: the
 1+1 case uses the Cl(1,1) matrices directly, the 3+1 case rescales the
 orthogonalized Cl(3,1) set so the metric becomes diag(+1,-1,-1,-1) with
@@ -21,9 +21,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import HBAR
 from .ga import Signature
-from .spinor import GammaSet, gamma_set_for_signature, orthogonalize_gammas
+from .spinor import (
+    GammaSet,
+    anticommutator_residual,
+    gamma_set_for_signature,
+    orthogonalize_gammas,
+)
+from .transport import rk4_linear
 
 
 class GridError(ValueError):
@@ -223,14 +228,7 @@ class FieldGammaSet:
         return self.gammas[0]
 
     def anticommutator_residual(self) -> float:
-        worst = 0.0
-        eye = np.eye(self.spinor_dim)
-        for mu in range(self.spacetime_dim):
-            for nu in range(self.spacetime_dim):
-                target = 2.0 * (self.eta[mu] if mu == nu else 0.0) * eye
-                acomm = self.gammas[mu] @ self.gammas[nu] + self.gammas[nu] @ self.gammas[mu]
-                worst = max(worst, float(np.max(np.abs(acomm - target))))
-        return worst
+        return anticommutator_residual(self.gammas, self.eta)
 
     def hermiticity_residual(self) -> float:
         """gamma0 and gamma0 @ gamma^mu must all be Hermitian."""
@@ -420,19 +418,7 @@ class WrappedGammaField:
     matrices: np.ndarray = field(repr=False)  # (d, *extents, m, m)
 
     def anticommutator_residual(self) -> float:
-        d = len(self.eta)
-        m = self.matrices.shape[-1]
-        eye = np.eye(m)
-        worst = 0.0
-        for mu in range(d):
-            for nu in range(d):
-                target = 2.0 * (self.eta[mu] if mu == nu else 0.0) * eye
-                acomm = (
-                    self.matrices[mu] @ self.matrices[nu]
-                    + self.matrices[nu] @ self.matrices[mu]
-                )
-                worst = max(worst, float(np.max(np.abs(acomm - target))))
-        return worst
+        return anticommutator_residual(self.matrices, self.eta)
 
 
 def _check_invertible_field(l_field: np.ndarray, grid: Grid):
@@ -555,19 +541,10 @@ def dirac_hamiltonian_evolve(
             )
         pot_a[:] = pot.a
     pot_full = EMPotential(grid, pot_a)
-
-    def rhs(comp):
-        return (-1j / HBAR) * dirac_hamiltonian(comp, grid, pot_full, mass, charge, gset)
-
-    comp = psi0.components.copy()
-    steps = max(1, int(round(t / dt)))
-    step = t / steps
-    for _ in range(steps):
-        k1 = rhs(comp)
-        k2 = rhs(comp + step / 2 * k1)
-        k3 = rhs(comp + step / 2 * k2)
-        k4 = rhs(comp + step * k3)
-        comp = comp + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    comp = rk4_linear(
+        lambda time, y: dirac_hamiltonian(y, grid, pot_full, mass, charge, gset),
+        psi0.components, 0.0, t, dt,
+    )
     return SpinorField(grid, comp)
 
 
@@ -618,19 +595,9 @@ def klein_gordon_evolve(psi0: SpinorField, mass: float, t: float, dt: float) -> 
     grid = psi0.grid
     grid.require_periodic("klein_gordon_evolve")
     _cfl_check(grid, dt)
-
-    def rhs(comp):
-        return (-1j / HBAR) * klein_gordon_hamiltonian(comp, grid, mass)
-
-    comp = psi0.components.copy()
-    steps = max(1, int(round(t / dt)))
-    step = t / steps
-    for _ in range(steps):
-        k1 = rhs(comp)
-        k2 = rhs(comp + step / 2 * k1)
-        k3 = rhs(comp + step / 2 * k2)
-        k4 = rhs(comp + step * k3)
-        comp = comp + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    comp = rk4_linear(
+        lambda time, y: klein_gordon_hamiltonian(y, grid, mass), psi0.components, 0.0, t, dt
+    )
     return SpinorField(grid, comp)
 
 

@@ -261,9 +261,6 @@ class Multivector:
             raise GradeError("not a pure grade-1 multivector")
         return [self.terms.get(1 << i, 0) for i in range(self.n)]
 
-    def scalar_part(self):
-        return self.terms.get(0, 0)
-
     # -- arithmetic --------------------------------------------------------
 
     def _check_dim(self, other: "Multivector"):
@@ -322,12 +319,6 @@ class Multivector:
 
     def max_abs(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)
-
-    def map_coeffs(self, fn) -> "Multivector":
-        return Multivector(self.n, {m: fn(c) for m, c in self.terms.items()})
-
-    def to_float(self) -> "Multivector":
-        return self.map_coeffs(float)
 
     def __str__(self) -> str:
         return format_multivector(self)

@@ -12,6 +12,8 @@ import json
 import time
 from dataclasses import dataclass, field
 
+from ._version import __version__
+
 
 @dataclass(frozen=True)
 class Check:
@@ -32,13 +34,20 @@ class Check:
             "details": self.details,
         }
 
+    @classmethod
+    def boolean(cls, name: str, passed: bool, relation: str, details: str = "") -> "Check":
+        """Pass/fail row: residual 0 on pass, 1 on fail, zero tolerance."""
+        return cls(
+            name=name, passed=bool(passed), residual=0.0 if passed else 1.0,
+            tolerance=0.0, relation=relation, details=details,
+        )
+
 
 @dataclass
 class Report:
     command: str
     config: dict
     checks: list = field(default_factory=list)
-    version: str = "0.1.0"
     started: float = field(default_factory=time.perf_counter)
 
     def add(
@@ -64,10 +73,9 @@ class Report:
         return check
 
     def add_bool(self, name: str, passed: bool, relation: str, details: str = "") -> Check:
-        return self.add(
-            name, residual=0.0 if passed else 1.0, tolerance=0.0,
-            relation=relation, details=details, passed=passed,
-        )
+        check = Check.boolean(name, passed, relation, details)
+        self.checks.append(check)
+        return check
 
     @property
     def all_passed(self) -> bool:
@@ -80,15 +88,17 @@ class Report:
     def to_dict(self) -> dict:
         return {
             "tool": "clifbundle",
-            "version": self.version,
+            "version": __version__,
             "command": self.command,
             "config": self.config,
             "checks": [c.to_dict() for c in sorted(self.checks, key=lambda c: c.name)],
             "wall_time_s": round(time.perf_counter() - self.started, 6),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2, default=_json_default)
+    def to_json(self, extra: dict | None = None) -> str:
+        """Sorted-key JSON of the report, with any extra top-level payload merged in."""
+        data = {**self.to_dict(), **(extra or {})}
+        return json.dumps(data, sort_keys=True, indent=2, default=_json_default)
 
     def summary_lines(self) -> list[str]:
         lines = []

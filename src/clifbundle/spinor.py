@@ -25,6 +25,7 @@ from .ga import (
     grade_of_mask,
     mask_indices,
 )
+from .report import Check
 
 
 class ClosureError(RuntimeError):
@@ -234,20 +235,29 @@ class GammaSet:
         return self.signature.diag
 
     def anticommutator_residuals(self):
-        """Max |{g^mu, g^nu} - 2 g^{mu nu} I| entry per pair; exact zero expected."""
-        eye = exact.identity(self.dim) if self.gammas[0].dtype == object else np.eye(self.dim)
-        worst = 0
-        diag = self.metric_diag
-        for mu in range(self.n):
-            for nu in range(self.n):
-                target = (2 * diag[mu] if mu == nu else 0) * eye
-                acomm = self.gammas[mu] @ self.gammas[nu] + self.gammas[nu] @ self.gammas[mu]
-                delta = acomm - target
-                worst = max(worst, max(abs(x) for x in np.ravel(delta)))
-        return worst
+        """Max |{g^mu, g^nu} - 2 g^{mu nu} I| entry over all pairs; exact zero expected."""
+        return anticommutator_residual(self.gammas, self.metric_diag)
 
-    def to_float(self) -> list[np.ndarray]:
-        return [np.array(g, dtype=float) for g in self.gammas]
+
+def anticommutator_residual(gammas, diag):
+    """Largest entry of |g^mu g^nu + g^nu g^mu - 2 diag[mu] delta^{mu nu} I|.
+
+    Exact (object) matrices give the exact residual.  Float matrices give a
+    float, and may be stacked fields of shape (d, *extents, m, m).
+    """
+    exact_mode = gammas[0].dtype == object
+    m = gammas[0].shape[-1]
+    eye = exact.identity(m) if exact_mode else np.eye(m)
+    worst = 0 if exact_mode else 0.0
+    for mu in range(len(diag)):
+        for nu in range(len(diag)):
+            target = (2 * diag[mu] if mu == nu else 0) * eye
+            delta = gammas[mu] @ gammas[nu] + gammas[nu] @ gammas[mu] - target
+            if exact_mode:
+                worst = max(worst, max(abs(x) for x in np.ravel(delta)))
+            else:
+                worst = max(worst, float(np.max(np.abs(delta))))
+    return worst
 
 
 def spinor_rep_matrices(
@@ -278,17 +288,18 @@ def spinor_rep_matrices(
     return GammaSet(signature=signature, dim=m, gammas=gammas)
 
 
+def _ideal_basis(report: IdempotentReport, metric: Metric) -> list[Multivector]:
+    """Basis of the minimal left ideal a search report names (the whole algebra if none)."""
+    n = report.signature.n
+    if report.whole_algebra:
+        return [Multivector(n, {m: Fraction(1)}) for m in range(1 << n)]
+    return minimal_left_ideal(report.idempotent, metric)
+
+
 def gamma_set_for_signature(sig: Signature) -> GammaSet:
     """Idempotent search -> minimal ideal -> extracted gamma matrices."""
-    report = find_primitive_idempotent(sig)
     metric = sig.metric()
-    if report.whole_algebra:
-        basis = [
-            Multivector(sig.n, {m: Fraction(1)}) for m in range(1 << sig.n)
-        ]
-    else:
-        basis = minimal_left_ideal(report.idempotent, metric)
-    return spinor_rep_matrices(basis, metric, sig)
+    return spinor_rep_matrices(_ideal_basis(find_primitive_idempotent(sig), metric), metric, sig)
 
 
 def algebra_span_dimension(gamma_set: GammaSet) -> int:
@@ -400,26 +411,7 @@ def orthogonalize_gammas(gamma_set: GammaSet) -> list[np.ndarray]:
 # isomorphism table verification
 
 
-@dataclass(frozen=True)
-class CheckRow:
-    name: str
-    passed: bool
-    residual: float
-    relation: str
-    details: str = ""
-
-
-def _row(name: str, passed: bool, relation: str, details: str = "", residual: float | None = None) -> CheckRow:
-    return CheckRow(
-        name=name,
-        passed=passed,
-        residual=0.0 if residual is None and passed else (residual if residual is not None else 1.0),
-        relation=relation,
-        details=details,
-    )
-
-
-def _quaternion_checks() -> CheckRow:
+def _quaternion_checks() -> Check:
     sig = Signature(0, 2)
     metric = sig.metric()
     n = 2
@@ -440,7 +432,7 @@ def _quaternion_checks() -> CheckRow:
         and mul(k, i) == -mul(i, k)
         and mul(mul(i, j), k) == -one
     )
-    return _row(
+    return Check.boolean(
         "cl02-quaternion-table",
         ok,
         "i^2 = j^2 = k^2 = ijk = -1 with i=e1, j=e2, k=e1e2",
@@ -448,13 +440,13 @@ def _quaternion_checks() -> CheckRow:
     )
 
 
-def _matrix_algebra_check(sig: Signature, expected_ideal_dim: int) -> list[CheckRow]:
+def _matrix_algebra_check(sig: Signature, expected_ideal_dim: int) -> list[Check]:
     rows = []
     name = f"cl{sig.p}{sig.q}"
     algebra_dim = 1 << sig.n
     matrix_dim = expected_ideal_dim**2
     rows.append(
-        _row(
+        Check.boolean(
             f"{name}-dimension",
             algebra_dim == matrix_dim,
             f"2^n = (matrix side)^2 for {sig}",
@@ -463,26 +455,28 @@ def _matrix_algebra_check(sig: Signature, expected_ideal_dim: int) -> list[Check
     )
     report = find_primitive_idempotent(sig)
     rows.append(
-        _row(
+        Check.boolean(
             f"{name}-minimal-ideal",
             (not report.whole_algebra) and report.ideal_dimension == expected_ideal_dim,
             f"minimal left ideal of {sig} has dimension {expected_ideal_dim}",
             details=report.note,
         )
     )
-    gamma_set = gamma_set_for_signature(sig)
+    metric = sig.metric()
+    gamma_set = spinor_rep_matrices(_ideal_basis(report, metric), metric, sig)
     residual = gamma_set.anticommutator_residuals()
     rows.append(
-        _row(
-            f"{name}-gamma-relations",
-            residual == 0,
-            "g^mu g^nu + g^nu g^mu = 2 g^{mu nu} I (exact)",
+        Check(
+            name=f"{name}-gamma-relations",
+            passed=residual == 0,
             residual=float(residual),
+            tolerance=0.0,
+            relation="g^mu g^nu + g^nu g^mu = 2 g^{mu nu} I (exact)",
         )
     )
     span = algebra_span_dimension(gamma_set)
     rows.append(
-        _row(
+        Check.boolean(
             f"{name}-full-matrix-span",
             span == matrix_dim,
             f"blade images span all of M_{expected_ideal_dim}(R)",
@@ -492,11 +486,11 @@ def _matrix_algebra_check(sig: Signature, expected_ideal_dim: int) -> list[Check
     return rows
 
 
-def _division_algebra_check(sig: Signature, algebra_name: str) -> list[CheckRow]:
+def _division_algebra_check(sig: Signature, algebra_name: str) -> list[Check]:
     report = find_primitive_idempotent(sig)
     dim_ok = report.whole_algebra and report.ideal_dimension == (1 << sig.n)
     return [
-        _row(
+        Check.boolean(
             f"cl{sig.p}{sig.q}-division-algebra",
             dim_ok,
             f"{sig} is a division algebra ({algebra_name}): minimal ideal is the whole algebra",
@@ -505,13 +499,13 @@ def _division_algebra_check(sig: Signature, algebra_name: str) -> list[CheckRow]
     ]
 
 
-def _even_subalgebra_checks() -> list[CheckRow]:
+def _even_subalgebra_checks() -> list[Check]:
     sig = Signature(3, 1)
     metric = sig.metric()
     n = 4
     even_masks = [m for m in basis_blades(n) if grade_of_mask(m) % 2 == 0]
     rows = [
-        _row(
+        Check.boolean(
             "cl31-even-dimension",
             len(even_masks) == 8,
             "even subalgebra of Cl(3,1) has dimension 2^(n-1) = 8 = dim_R M_2(C)",
@@ -526,7 +520,7 @@ def _even_subalgebra_checks() -> list[CheckRow]:
         for m in even_masks
     )
     rows.append(
-        _row(
+        Check.boolean(
             "cl31-even-central-imaginary",
             sq == Multivector.scalar(Fraction(-1), n) and central,
             "e1234 squares to -1 and is central in the even subalgebra",
@@ -543,7 +537,7 @@ def _even_subalgebra_checks() -> list[CheckRow]:
         ).terms
     )
     rows.append(
-        _row(
+        Check.boolean(
             "cl31-even-closed",
             closed,
             "the even subalgebra is closed under the Clifford product",
@@ -552,9 +546,9 @@ def _even_subalgebra_checks() -> list[CheckRow]:
     return rows
 
 
-def verify_iso_table(signatures=None) -> list[CheckRow]:
+def verify_iso_table(signatures=None) -> list[Check]:
     """Machine-check the classical low-dimensional algebra identifications."""
-    rows: list[CheckRow] = []
+    rows: list[Check] = []
     rows.extend(_division_algebra_check(Signature(0, 1), "C"))
     rows.append(_quaternion_checks())
     rows.extend(_division_algebra_check(Signature(0, 2), "H"))
@@ -568,7 +562,7 @@ def verify_iso_table(signatures=None) -> list[CheckRow]:
         if (1, 3) in wanted:
             report = find_primitive_idempotent(Signature(1, 3))
             extra_rows.append(
-                _row(
+                Check.boolean(
                     "cl13-quaternionic-ideal",
                     (not report.whole_algebra) and report.ideal_dimension == 8,
                     "Cl(1,3) = H(2): minimal ideal has real dimension 8",

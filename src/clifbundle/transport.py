@@ -28,6 +28,7 @@ __all__ = [
     "Lifting",
     "Transport",
     "evolve",
+    "rk4_linear",
     "transport_operator",
     "connection_coeffs",
     "path_derivation",
@@ -49,6 +50,14 @@ class SingularTrivializationError(ValueError):
 
 # ---------------------------------------------------------------------------
 # path, trivialization, Hamiltonian
+
+
+def _interp_linear(times: np.ndarray, values: np.ndarray, t: float) -> np.ndarray:
+    """Piecewise-linear interpolation of values[k] sampled at increasing times[k]."""
+    idx = np.clip(np.searchsorted(times, t), 1, len(times) - 1)
+    t0, t1 = times[idx - 1], times[idx]
+    w = (t - t0) / (t1 - t0)
+    return (1 - w) * values[idx - 1] + w * values[idx]
 
 
 @dataclass(frozen=True)
@@ -99,11 +108,7 @@ class Path:
     def point_at(self, t: float) -> np.ndarray:
         """Piecewise-linear interpolation of the base point."""
         self.check_time(t)
-        ts = self.times
-        idx = np.clip(np.searchsorted(ts, t), 1, len(ts) - 1)
-        t0, t1 = ts[idx - 1], ts[idx]
-        w = (t - t0) / (t1 - t0)
-        return (1 - w) * self.points[idx - 1] + w * self.points[idx]
+        return _interp_linear(self.times, self.points, t)
 
 
 @dataclass(frozen=True)
@@ -142,15 +147,7 @@ class Trivialization:
                 raise SingularTrivializationError(
                     f"trivialization matrix at sample {k} is singular"
                 )
-        times = path.times
-
-        def of_t(t: float) -> np.ndarray:
-            idx = np.clip(np.searchsorted(times, t), 1, len(times) - 1)
-            t0, t1 = times[idx - 1], times[idx]
-            w = (t - t0) / (t1 - t0)
-            return (1 - w) * mats[idx - 1] + w * mats[idx]
-
-        return cls(dim, of_t)
+        return cls(dim, lambda t: _interp_linear(path.times, mats, t))
 
     def matrix(self, t: float) -> np.ndarray:
         m = np.asarray(self.of_t(t), dtype=complex)
@@ -270,33 +267,43 @@ class Lifting:
 # the integrator
 
 
+def rk4_linear(apply_h, y0: np.ndarray, s: float, t: float, dt: float) -> np.ndarray:
+    """Classical RK4 for i hbar dy/dt = apply_h(t, y) from y(s) = y0 to y(t).
+
+    Takes ceil(|t - s| / dt) equal steps, so dt bounds every step taken; time
+    may run forward or backward.  Returns a new array.
+    """
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    y = np.array(y0, copy=True)
+    span = t - s
+    if span == 0:
+        return y
+    steps = max(1, int(np.ceil(abs(span) / dt)))
+    step = span / steps
+
+    def rhs(time: float, state: np.ndarray) -> np.ndarray:
+        return (-1j / HBAR) * apply_h(time, state)
+
+    time = s
+    for _ in range(steps):
+        k1 = rhs(time, y)
+        k2 = rhs(time + step / 2, y + step / 2 * k1)
+        k3 = rhs(time + step / 2, y + step / 2 * k2)
+        k4 = rhs(time + step, y + step * k3)
+        y = y + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        time += step
+    return y
+
+
 def evolve(h: HamiltonianSpec, t: float, s: float, dt: float) -> np.ndarray:
     """Time-ordered solution of i dU/dt = H(t) U, U(s,s) = I (classical RK4).
 
     Integrates forward or backward; dt is the magnitude of the step.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    dim = h.dim
-    u = np.eye(dim, dtype=complex)
-    span = t - s
-    if span == 0:
-        return u
-    steps = max(1, int(np.ceil(abs(span) / dt)))
-    step = span / steps
-
-    def rhs(time: float, mat: np.ndarray) -> np.ndarray:
-        return (-1j / HBAR) * (h.matrix(time) @ mat)
-
-    time = s
-    for _ in range(steps):
-        k1 = rhs(time, u)
-        k2 = rhs(time + step / 2, u + step / 2 * k1)
-        k3 = rhs(time + step / 2, u + step / 2 * k2)
-        k4 = rhs(time + step, u + step * k3)
-        u = u + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        time += step
-    return u
+    return rk4_linear(
+        lambda time, u: h.matrix(time) @ u, np.eye(h.dim, dtype=complex), s, t, dt
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -474,14 +481,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         elif kind == "tabulated":
             times = np.asarray(ham_spec["times"], dtype=float)
             mats = np.array([_matrix_from_json(m) for m in ham_spec["matrices"]])
-
-            def of_t(t, times=times, mats=mats):
-                idx = np.clip(np.searchsorted(times, t), 1, len(times) - 1)
-                t0, t1 = times[idx - 1], times[idx]
-                w = (t - t0) / (t1 - t0)
-                return (1 - w) * mats[idx - 1] + w * mats[idx]
-
-            ham = HamiltonianSpec(dim, of_t)
+            ham = HamiltonianSpec(dim, lambda t: _interp_linear(times, mats, t))
         else:
             raise ValueError(f"unknown hamiltonian type {kind!r}")
         triv_spec = data.get("trivialization", {"type": "identity"})

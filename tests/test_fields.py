@@ -364,6 +364,32 @@ def test_cfl_bound_enforced(g2):
         dirac_hamiltonian_evolve(psi, None, 1.0, 0.0, 1.0, 0.1, g2)
 
 
+@pytest.mark.parametrize("case", ["ceil-steps", "backward-roundtrip", "dt-zero", "dt-negative"])
+@pytest.mark.parametrize("equation", ["dirac", "klein-gordon"])
+def test_step_rule_bounds_every_step(g2, equation, case):
+    """ceil(|t|/dt) equal steps: dt bounds the step taken, time may run backward."""
+    grid = Grid((32,), (L / 32,))
+    bound = grid.spacing[0] / 4
+    k = grid.wavenumber(0, 1)
+    psi0 = SpinorField.plane_wave(grid, (k,), [1.0, 0.3j])
+    if equation == "dirac":
+        def run(psi, t, dt):
+            return dirac_hamiltonian_evolve(psi, None, 1.0, 0.0, t, dt, g2)
+    else:
+        def run(psi, t, dt):
+            return klein_gordon_evolve(psi, 1.0, t, dt)
+    if case == "ceil-steps":
+        t = 2.5 * bound
+        # 3 steps of t/3, not 2 steps of 1.25 bound
+        assert np.array_equal(run(psi0, t, bound).components, run(psi0, t, t / 3).components)
+    elif case == "backward-roundtrip":
+        back = run(run(psi0, 0.5, 1e-2), -0.5, 1e-2)
+        assert np.max(np.abs(back.components - psi0.components)) <= 1e-9
+    else:
+        with pytest.raises(ValueError):
+            run(psi0, 1.0, 0.0 if case == "dt-zero" else -bound)
+
+
 def test_kg_dirac_consistency_free_field(g2):
     # (i slash + m)(i slash - m) psi = (-box - m^2) psi with commuting
     # discrete partials: machine-precision identity on the lattice
