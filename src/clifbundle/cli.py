@@ -188,13 +188,15 @@ def cmd_spinor_rep(args) -> int:
         relation="g^mu g^nu + g^nu g^mu = 2 g^{mu nu} I (exact)",
         details=f"representation dimension {gamma_set.dim}",
     )
+    # Checked against sigma^{mu mu} = 0 and sigma^{mu nu} = g^mu g^nu / 2, not the
+    # commutator sigma_generators uses; gamma-relations makes the two equivalent.
     sigmas = sp.sigma_generators(gamma_set)
     worst = 0
     for mu in range(sig.n):
         for nu in range(sig.n):
             g1, g2 = gamma_set.gammas[mu], gamma_set.gammas[nu]
-            brute = (g1 @ g2 - g2 @ g1) * Fraction(1, 4)
-            delta = sigmas.mat(mu, nu) - brute
+            expected = 0 if mu == nu else (g1 @ g2) * sp.HALF
+            delta = sigmas.mat(mu, nu) - expected
             anti = sigmas.mat(mu, nu) + sigmas.mat(nu, mu)
             worst = max(
                 worst,

@@ -64,10 +64,11 @@ def rank(mat: np.ndarray) -> int:
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a x = b exactly.  Raises ValueError if singular or inconsistent.
 
-    ``b`` may be a vector or a matrix of right-hand sides.
+    ``a`` may be tall, with more equations than unknowns, if its columns
+    are independent.  ``b`` may be a vector or a matrix of right-hand sides.
     """
-    n = a.shape[0]
-    b2 = b.reshape(n, -1)
+    rows, n = a.shape
+    b2 = b.reshape(rows, -1)
     aug = np.concatenate([a, b2], axis=1)
     red, pivots = rref(aug)
     if any(p >= n for p in pivots):
@@ -75,11 +76,7 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if len(pivots) < n:
         raise ValueError("singular matrix")
     x = red[:n, n:]
-    return x.reshape(b.shape)
-
-
-def inverse(a: np.ndarray) -> np.ndarray:
-    return solve(a, identity(a.shape[0]))
+    return x.reshape((n,) + b.shape[1:])
 
 
 def is_zero(mat: np.ndarray) -> bool:

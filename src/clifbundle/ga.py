@@ -6,9 +6,11 @@ float; exact inputs stay exact through every product, which is what lets
 the identity suites assert equality rather than closeness.
 
 Product signs are computed by bit-counting swap parities, O(n) per blade
-pair.  Diagonal metrics take a pure mask-arithmetic fast path; general
-symmetric metrics go through the grade-recursive definition of the
-Clifford product (vector case: v*a = v^a + i_v a).
+pair.  There is one product kernel, pure mask arithmetic over an
+orthogonal basis.  A general symmetric metric reaches it through its
+orthogonal frame: an exact congruence P^T G P = D to a diagonal metric,
+found once per Metric by symmetric elimination over Fractions.  Operands
+are mapped into the frame, multiplied there and mapped back.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from numbers import Real
+from numbers import Rational, Real
 
 import numpy as np
 
@@ -69,28 +71,69 @@ class Signature:
         return f"Cl({self.p},{self.q})"
 
 
-def _symmetry_residual(gram: np.ndarray) -> float:
-    g = np.array(gram, dtype=float)
-    return float(np.max(np.abs(g - g.T))) if g.size else 0.0
+def _orthogonal_frame(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Exact (P, P^-1, D) with P^T G P = diag(D), by symmetric elimination.
+
+    Runs over the Fractions of the gram's exact values, so no pivot
+    tolerance enters.  A zero pivot g_kk is repaired by f_k <- f_k + s f_j
+    for some j with g_kj != 0, the sign s making the new pivot nonzero.
+    Raises MetricError if the gram is degenerate.
+    """
+    n = gram.shape[0]
+    g = exact.frac_matrix(gram)
+    g = (g + g.T) * Fraction(1, 2)
+    p, p_inv = exact.identity(n), exact.identity(n)
+
+    def add_multiple(dst: int, src: int, c):
+        # basis change f_dst <- f_dst + c f_src: congruence on G, column
+        # operation on P, and the inverse row operation on P^-1
+        g[:, dst] += c * g[:, src]
+        g[dst, :] += c * g[src, :]
+        p[:, dst] += c * p[:, src]
+        p_inv[src, :] -= c * p_inv[dst, :]
+
+    for k in range(n):
+        if g[k, k] == 0:
+            j = next((j for j in range(k + 1, n) if g[k, j] != 0), None)
+            if j is None:
+                raise MetricError("gram matrix is degenerate (zero pivot)")
+            add_multiple(k, j, 1 if 2 * g[k, j] + g[j, j] != 0 else -1)
+        for i in range(k + 1, n):
+            if g[k, i] != 0:
+                add_multiple(i, k, -g[k, i] / g[k, k])
+    return p, p_inv, tuple(g[k, k] for k in range(n))
 
 
 @dataclass(frozen=True)
 class Metric:
-    """Symmetric nondegenerate bilinear form, stored as a dense Gram matrix."""
+    """Symmetric nondegenerate bilinear form, stored as a dense Gram matrix.
+
+    ``frame`` is its orthogonal frame (P, P^-1, D): exact when every gram entry
+    is an int or a Fraction, and then its pivots alone decide degeneracy.
+    """
 
     n: int
     gram: np.ndarray = field(repr=False)
+    frame: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_dimension(self.n)
         g = np.asarray(self.gram)
         if g.shape != (self.n, self.n):
             raise MetricError(f"gram shape {g.shape} != ({self.n}, {self.n})")
-        if _symmetry_residual(g) > 1e-12:
+        gf = np.array(g, dtype=float)
+        if not np.isfinite(gf).all():
+            raise MetricError("gram matrix has a non-finite entry")
+        if np.max(np.abs(gf - gf.T)) > 1e-12:
             raise MetricError("gram matrix is not symmetric (residual > 1e-12)")
-        if abs(float(np.linalg.det(np.array(g, dtype=float)))) <= 1e-10:
+        exact_gram = all(isinstance(x, Rational) for x in g.flat)
+        if not exact_gram and abs(np.linalg.det(gf)) <= 1e-10:
             raise MetricError("gram matrix is degenerate (|det| <= 1e-10)")
+        p, p_inv, d = _orthogonal_frame(g)
+        if not exact_gram:
+            p, p_inv, d = p.astype(float), p_inv.astype(float), tuple(map(float, d))
         object.__setattr__(self, "gram", g)
+        object.__setattr__(self, "frame", (p, p_inv, d))
 
     @classmethod
     def euclidean(cls, n: int) -> "Metric":
@@ -127,9 +170,9 @@ class Metric:
         return self.gram[i, j]
 
     def inverse_gram(self) -> np.ndarray:
-        if self.gram.dtype == object:
-            return exact.inverse(self.gram)
-        return np.linalg.inv(self.gram)
+        """G^-1 = P diag(D)^-1 P^T, exact for an exact gram."""
+        p, _, d = self.frame
+        return (p / np.asarray(d)) @ p.T
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +289,6 @@ class Multivector:
     def coeff(self, mask: int):
         return self.terms.get(mask, 0)
 
-    def grades(self) -> set[int]:
-        return {grade_of_mask(m) for m in self.terms}
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -345,16 +385,12 @@ def wedge(a: Multivector, b: Multivector) -> Multivector:
     return Multivector(a.n, terms)
 
 
-def _interior_vector_blade(vcomps, mask: int, metric: Metric) -> dict:
-    """Term map of i_v(e_mask) for v given by components, via the Leibniz rule."""
+def _interior_vector_blade(vdual, mask: int) -> dict:
+    """Term map of i_v(e_mask) for v given by its covector components g(v, e_j)."""
     out: dict = {}
     sign = 1
     for j in mask_indices(mask):
-        gvj = 0
-        col = j - 1
-        for i, vi in enumerate(vcomps):
-            if not _prune(vi):
-                gvj = gvj + vi * metric.entry(i, col)
+        gvj = vdual[j - 1]
         if not _prune(gvj):
             sub = mask ^ (1 << (j - 1))
             out[sub] = out.get(sub, 0) + sign * gvj
@@ -369,10 +405,10 @@ def interior(v: Multivector, a: Multivector, metric: Metric) -> Multivector:
         raise MetricError(f"metric dimension {metric.n} != operand dimension {v.n}")
     if not v.is_homogeneous(1):
         raise GradeError("interior product requires a homogeneous grade-1 vector")
-    vcomps = v.vector_components()
+    vdual = metric_dual(v, metric)
     terms: dict = {}
     for mask, coeff in a.terms.items():
-        for sub, c in _interior_vector_blade(vcomps, mask, metric).items():
+        for sub, c in _interior_vector_blade(vdual, mask).items():
             terms[sub] = terms.get(sub, 0) + coeff * c
     return Multivector(a.n, terms)
 
@@ -381,59 +417,32 @@ def interior(v: Multivector, a: Multivector, metric: Metric) -> Multivector:
 # Clifford product
 
 
-def _clifford_blades_diagonal(ma: int, mb: int, diag) -> tuple[int, object]:
-    """(mask, coefficient) of e_A * e_B for an orthogonal basis."""
-    sign = reorder_sign(ma, mb)
-    common = ma & mb
-    coeff = sign
-    for i in mask_indices(common):
-        coeff = coeff * diag[i - 1]
-    return ma ^ mb, coeff
-
-
 def _clifford_diagonal(a: Multivector, b: Multivector, diag) -> Multivector:
+    """The product kernel: e_A e_B = reorder_sign(A, B) prod(diag[A & B]) e_(A xor B)."""
     terms: dict = {}
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
-            mask, factor = _clifford_blades_diagonal(ma, mb, diag)
+            factor = reorder_sign(ma, mb)
+            for i in mask_indices(ma & mb):
+                factor = factor * diag[i - 1]
+            mask = ma ^ mb
             terms[mask] = terms.get(mask, 0) + ca * cb * factor
     return Multivector(a.n, terms)
 
 
-def _vee_vector(v: Multivector, m: Multivector, metric: Metric) -> Multivector:
-    """Defining formula for grade-1 left factor: v * m = v ^ m + i_v m."""
-    return wedge(v, m) + interior(v, m, metric)
-
-
-def _clifford_blade_general(mask: int, m: Multivector, metric: Metric) -> Multivector:
-    n = m.n
-    if mask == 0:
-        return m
-    k = grade_of_mask(mask)
-    if k == 1:
-        return _vee_vector(Multivector(n, {mask: 1}), m, metric)
-    low = mask & -mask
-    rest = mask ^ low
-    e_low = Multivector(n, {low: 1})
-    rest_mv = Multivector(n, {rest: 1})
-    # e_mask = e_low ^ e_rest = e_low * e_rest - i_{e_low} e_rest, so multiply
-    # through on the right and recurse on strictly lower left-factor grades.
-    t1 = _vee_vector(e_low, _clifford_blade_general(rest, m, metric), metric)
-    t2 = clifford(interior(e_low, rest_mv, metric), m, metric)
-    return t1 - t2
-
-
 def clifford(a: Multivector, b: Multivector, metric: Metric) -> Multivector:
-    """Clifford (geometric) product of multivectors over the given metric."""
+    """Clifford (geometric) product of multivectors over the given metric.
+
+    A non-diagonal metric multiplies in its orthogonal frame P^T G P = D.
+    """
     a._check_dim(b)
     if metric.n != a.n:
         raise MetricError(f"metric dimension {metric.n} != operand dimension {a.n}")
     if metric.is_diagonal:
         return _clifford_diagonal(a, b, metric.diag)
-    out = Multivector.zero(a.n)
-    for mask, coeff in a.terms.items():
-        out = out + coeff * _clifford_blade_general(mask, b, metric)
-    return out
+    p, p_inv, d = metric.frame
+    product = _clifford_diagonal(apply_linear_map(a, p_inv), apply_linear_map(b, p_inv), d)
+    return apply_linear_map(product, p)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .ga import (
     clifford,
     grade_of_mask,
     mask_indices,
+    metric_raise,
 )
 from .report import Check
 
@@ -196,22 +197,10 @@ def ideal_invariance_residual(basis: list[Multivector], metric: Metric) -> int:
         for w in basis:
             rhs = multivector_coords(clifford(e, w, metric))
             try:
-                _solve_in_span(span, rhs.reshape(-1, 1))
+                exact.solve(span, rhs)
             except ValueError:
                 failures += 1
     return failures
-
-
-def _solve_in_span(span: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Exact least-structure solve of span @ x = rhs for full-column-rank span."""
-    m = span.shape[1]
-    aug = np.concatenate([span, rhs], axis=1)
-    red, pivots = exact.rref(aug)
-    if any(p >= m for p in pivots):
-        raise ValueError("vector not in span")
-    if len(pivots) < m:
-        raise ValueError("span columns are dependent")
-    return red[:m, m:]
 
 
 # ---------------------------------------------------------------------------
@@ -269,22 +258,16 @@ def spinor_rep_matrices(
     n = ideal_basis[0].n
     m = len(ideal_basis)
     span = np.stack([multivector_coords(w) for w in ideal_basis], axis=1)
-    ginv = metric.inverse_gram()
     gammas = []
     for mu in range(n):
-        raised = Multivector(
-            n, {1 << j: Fraction(ginv[j, mu]) for j in range(n) if ginv[j, mu] != 0}
+        raised = metric_raise([1 if j == mu else 0 for j in range(n)], metric)
+        images = np.stack(
+            [multivector_coords(clifford(raised, w, metric)) for w in ideal_basis], axis=1
         )
-        cols = []
-        for w in ideal_basis:
-            rhs = multivector_coords(clifford(raised, w, metric)).reshape(-1, 1)
-            try:
-                cols.append(_solve_in_span(span, rhs)[:, 0])
-            except ValueError as exc:
-                raise ClosureError(
-                    f"ideal is not invariant under e^{mu + 1}: {exc}"
-                ) from exc
-        gammas.append(np.stack(cols, axis=1))
+        try:
+            gammas.append(exact.solve(span, images))
+        except ValueError as exc:
+            raise ClosureError(f"ideal is not invariant under e^{mu + 1}: {exc}") from exc
     return GammaSet(signature=signature, dim=m, gammas=gammas)
 
 

@@ -178,7 +178,6 @@ class HamiltonianSpec:
 
     dim: int
     of_t: callable = field(repr=False)
-    check_hermitian: bool = True
 
     @classmethod
     def zero(cls, dim: int) -> "HamiltonianSpec":
@@ -213,12 +212,11 @@ class HamiltonianSpec:
 
     def matrix(self, t: float) -> np.ndarray:
         h = np.asarray(self.of_t(t), dtype=complex)
-        if self.check_hermitian:
-            residual = float(np.max(np.abs(h - h.conj().T))) if h.size else 0.0
-            if residual > 1e-12:
-                raise HermiticityError(
-                    f"H(t={t}) is not Hermitian (residual {residual:.3e} > 1e-12)"
-                )
+        residual = float(np.max(np.abs(h - h.conj().T))) if h.size else 0.0
+        if residual > 1e-12:
+            raise HermiticityError(
+                f"H(t={t}) is not Hermitian (residual {residual:.3e} > 1e-12)"
+            )
         return h
 
 
@@ -481,6 +479,15 @@ def scenario_from_dict(data: dict) -> Scenario:
         elif kind == "tabulated":
             times = np.asarray(ham_spec["times"], dtype=float)
             mats = np.array([_matrix_from_json(m) for m in ham_spec["matrices"]])
+            # a table that interpolation would misread or extrapolate is a bad config
+            if times.ndim != 1 or len(times) != len(mats):
+                raise ValueError("tabulated hamiltonian needs exactly one matrix per time")
+            if mats.shape[1:] != (dim, dim):
+                raise ValueError(f"tabulated hamiltonian matrices must be {dim}x{dim}")
+            if np.any(np.diff(times) <= 0):
+                raise ValueError("tabulated hamiltonian times must be strictly increasing")
+            if times[0] > path.t_start or times[-1] < path.t_end:
+                raise ValueError("tabulated hamiltonian times must cover the whole path")
             ham = HamiltonianSpec(dim, lambda t: _interp_linear(times, mats, t))
         else:
             raise ValueError(f"unknown hamiltonian type {kind!r}")

@@ -121,6 +121,26 @@ def test_transport_singular_trivialization_is_config_error(tmp_path):
     assert code == 2
 
 
+def _tabulated_hamiltonian(times, count):
+    mats = [matrix_to_json((1 + k) * np.diag([1.0, -1.0])) for k in range(count)]
+    return {"type": "tabulated", "times": times, "matrices": mats}
+
+
+def test_transport_short_hamiltonian_table_is_config_error(tmp_path):
+    # the path runs to t=1.0; a table ending at 0.5 must not be extrapolated
+    data = qubit_scenario_dict()
+    data["hamiltonian"] = _tabulated_hamiltonian([0.0, 0.5], 2)
+    scenario = write_scenario(tmp_path, data)
+    assert main(["transport", "--scenario", scenario]) == 2
+
+
+def test_transport_hamiltonian_table_count_mismatch_is_config_error(tmp_path):
+    data = qubit_scenario_dict()
+    data["hamiltonian"] = _tabulated_hamiltonian([0.0, 0.5, 1.0], 2)
+    scenario = write_scenario(tmp_path, data)
+    assert main(["transport", "--scenario", scenario]) == 2
+
+
 def test_transport_malformed_json_is_config_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{ not json")

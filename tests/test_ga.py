@@ -368,6 +368,31 @@ def test_metric_rejects_asymmetric_and_degenerate():
         Metric.from_gram([[1.0, 1.0], [1.0, 1.0]])
 
 
+def test_exact_metric_nondegeneracy_is_scale_free():
+    # exact grams are judged by the pivots of their orthogonal frame, so a
+    # small scale is not mistaken for degeneracy
+    g = Metric.from_diagonal([F(1, 1000)] * 4)
+    assert clifford(e(1, 4), e(1, 4), g) == Multivector.scalar(F(1, 1000), 4)
+    with pytest.raises(MetricError):
+        Metric.from_gram(np.array([[1, 1], [1, 1]], dtype=object))
+    with pytest.raises(MetricError):
+        Metric.from_gram(np.array([[0, 0, 1], [0, 0, 2], [1, 2, 0]], dtype=object))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_metric_rejects_non_finite_entries(bad):
+    with pytest.raises(MetricError):
+        Metric.from_gram([[1.0, 0.0], [0.0, bad]])
+
+
+def test_orthogonal_frame_diagonalizes_zero_diagonal_gram():
+    gram = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=object)
+    p, p_inv, d = Metric.from_gram(gram).frame
+    assert (p @ p_inv == np.eye(3)).all()
+    assert (p.T @ gram @ p == np.diag(d)).all()
+    assert all(x != 0 for x in d)
+
+
 def test_dimension_ceiling(monkeypatch):
     monkeypatch.setenv("CLIFBUNDLE_NMAX", "4")
     with pytest.raises(ValueError):

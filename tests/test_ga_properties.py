@@ -7,13 +7,17 @@ strategies only produce small integers.
 
 from fractions import Fraction as F
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clifbundle import exact
 from clifbundle.ga import (
     Metric,
     Multivector,
     Signature,
+    apply_linear_map,
     clifford,
     even_odd_split,
     grade_project,
@@ -115,25 +119,74 @@ def test_even_part_closed_under_product(a, b):
     assert odd.is_zero()
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, (1 << DIM) - 1), st.integers(0, (1 << DIM) - 1))
-def test_general_metric_blades_match_diagonal_fast_path(ma, mb):
-    # a non-diagonal Metric whose gram happens to be the signature matrix
-    # must reproduce the mask-arithmetic fast path exactly
-    import numpy as np
+@st.composite
+def unimodular(draw, n=DIM):
+    """Integer matrix of determinant 1, as a product of elementary shears."""
+    q = exact.identity(n)
+    for _ in range(draw(st.integers(1, 6))):
+        i, j = draw(st.permutations(range(n)))[:2]
+        q[:, j] += draw(st.sampled_from((-2, -1, 1, 2))) * q[:, i]
+    return q
 
-    gram = np.array(
-        [[F(METRIC.entry(i, j)) for j in range(DIM)] for i in range(DIM)], dtype=object
-    )
-    gram[0, 1] = gram[1, 0] = F(0)  # still the same matrix, just exercising from_gram
-    general = Metric.from_gram(gram)
+
+@settings(max_examples=40, deadline=None)
+@given(unimodular(), st.integers(0, (1 << DIM) - 1), st.integers(0, (1 << DIM) - 1))
+def test_general_metric_blades_match_diagonal_fast_path(q, ma, mb):
+    # Lambda(Q) carries Cl(D) isomorphically onto Cl(G) for G = Q^-T D Q^-1.
+    # Q is drawn independently of the frame the implementation finds for G.
+    q_inv = exact.solve(q, exact.identity(DIM))
+    general = Metric.from_gram(q_inv.T @ METRIC.gram @ q_inv)
     a = Multivector(DIM, {ma: F(1)})
     b = Multivector(DIM, {mb: F(1)})
-    fast = clifford(a, b, METRIC)
-    # route through the graded recursion by disabling the diagonal fast path
-    from clifbundle.ga import _clifford_blade_general
+    lhs = clifford(apply_linear_map(a, q), apply_linear_map(b, q), general)
+    assert lhs == apply_linear_map(clifford(a, b, METRIC), q)
 
-    slow = Multivector.zero(DIM)
-    for mask, coeff in a.terms.items():
-        slow = slow + coeff * _clifford_blade_general(mask, b, general)
-    assert fast == slow
+
+# non-diagonal grams, several with zero diagonal entries; in [[0,1],[1,-2]]
+# only e1 - e2, not e1 + e2, repairs the zero pivot
+GENERAL_METRICS = [
+    Metric.from_gram(np.array(rows, dtype=object))
+    for rows in (
+        [[0, 1], [1, 0]],
+        [[0, 1], [1, -2]],
+        [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+        [[0, 2, 0], [2, 1, 0], [0, 0, -3]],
+        [[1, 1, 0], [1, 0, 1], [0, 1, 0]],
+        [[F(1, 2), 2, 0, 0], [2, 3, -2, 0], [0, -2, 0, 1], [0, 0, 1, -3]],
+    )
+]
+
+
+@pytest.mark.parametrize("metric", GENERAL_METRICS, ids=[f"gram{k}" for k in range(6)])
+def test_general_metric_vector_anticommutator_every_pair(metric):
+    n = metric.n
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            ei = Multivector.basis_vector(i, n, F(1))
+            ej = Multivector.basis_vector(j, n, F(1))
+            lhs = clifford(ei, ej, metric) + clifford(ej, ei, metric)
+            assert lhs == Multivector.scalar(2 * metric.entry(i - 1, j - 1), n)
+
+
+@st.composite
+def general_operands(draw, n_vectors, n_multivectors):
+    metric = draw(st.sampled_from(GENERAL_METRICS))
+    vs = [draw(vectors(n=metric.n)) for _ in range(n_vectors)]
+    ms = [draw(multivectors(n=metric.n)) for _ in range(n_multivectors)]
+    return (metric, *vs, *ms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(general_operands(1, 1))
+def test_general_metric_vector_product_is_wedge_plus_interior(case):
+    metric, v, a = case
+    assert clifford(v, a, metric) == wedge(v, a) + interior(v, a, metric)
+
+
+@settings(max_examples=60, deadline=None)
+@given(general_operands(0, 3))
+def test_general_metric_clifford_associative(case):
+    metric, a, b, c = case
+    assert clifford(clifford(a, b, metric), c, metric) == clifford(
+        a, clifford(b, c, metric), metric
+    )

@@ -6,6 +6,7 @@ import pytest
 from clifbundle import exact
 from clifbundle.ga import Metric, Multivector, Signature, basis_blades, clifford
 from clifbundle.spinor import (
+    ClosureError,
     algebra_span_dimension,
     blade_square_sign,
     blades_commute,
@@ -130,6 +131,24 @@ def test_simple_algebra_ideal_dimension_squares_to_algebra_dimension(p, q):
     sig = Signature(p, q)
     report = find_primitive_idempotent(sig)
     assert report.ideal_dimension**2 == 1 << sig.n
+
+
+def test_exact_solve_tall_system():
+    a = exact.frac_matrix([[1, 0], [0, 1], [1, 1]])
+    x = exact.solve(a, exact.frac_matrix([[2], [3], [5]])[:, 0])
+    assert x.shape == (2,) and mat_equal(x, [2, 3])
+    with pytest.raises(ValueError):
+        exact.solve(a, exact.frac_matrix([[2], [3], [4]])[:, 0])
+
+
+def test_non_invariant_span_is_reported():
+    # span{1, e1} in Cl(1,1) is not a left ideal: e2 * 1 = e2 leaves it
+    sig = Signature(1, 1)
+    metric = sig.metric()
+    basis = [Multivector.scalar(F(1), 2), Multivector.basis_vector(1, 2, F(1))]
+    assert ideal_invariance_residual(basis, metric) == 2
+    with pytest.raises(ClosureError):
+        spinor_rep_matrices(basis, metric, sig)
 
 
 def test_ideal_closed_under_left_multiplication_cl31():
