@@ -8,9 +8,10 @@ the identity suites assert equality rather than closeness.
 Product signs are computed by bit-counting swap parities, O(n) per blade
 pair.  There is one product kernel, pure mask arithmetic over an
 orthogonal basis.  A general symmetric metric reaches it through its
-orthogonal frame: an exact congruence P^T G P = D to a diagonal metric,
-found once per Metric by symmetric elimination over Fractions.  Operands
-are mapped into the frame, multiplied there and mapped back.
+orthogonal frame: a congruence P^T G P = D to a diagonal metric, found
+once per Metric, exactly by symmetric elimination over Fractions for an
+exact gram and by an eigendecomposition for a float gram.  Operands are
+mapped into the frame, multiplied there and mapped back.
 """
 
 from __future__ import annotations
@@ -108,8 +109,9 @@ def _orthogonal_frame(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
 class Metric:
     """Symmetric nondegenerate bilinear form, stored as a dense Gram matrix.
 
-    ``frame`` is its orthogonal frame (P, P^-1, D): exact when every gram entry
-    is an int or a Fraction, and then its pivots alone decide degeneracy.
+    ``frame`` is its orthogonal frame (P, P^-1, D).  When every gram entry is
+    an int or a Fraction it is exact and its pivots alone decide degeneracy;
+    a float gram gets its orthonormal eigenbasis, P^-1 = P^T.
     """
 
     n: int
@@ -126,14 +128,17 @@ class Metric:
             raise MetricError("gram matrix has a non-finite entry")
         if np.max(np.abs(gf - gf.T)) > 1e-12:
             raise MetricError("gram matrix is not symmetric (residual > 1e-12)")
-        exact_gram = all(isinstance(x, Rational) for x in g.flat)
-        if not exact_gram and abs(np.linalg.det(gf)) <= 1e-10:
-            raise MetricError("gram matrix is degenerate (|det| <= 1e-10)")
-        p, p_inv, d = _orthogonal_frame(g)
-        if not exact_gram:
-            p, p_inv, d = p.astype(float), p_inv.astype(float), tuple(map(float, d))
+        if all(isinstance(x, Rational) for x in g.flat):
+            frame = _orthogonal_frame(g)
+        else:
+            if abs(np.linalg.det(gf)) <= 1e-10:
+                raise MetricError("gram matrix is degenerate (|det| <= 1e-10)")
+            # an orthonormal eigenbasis keeps the float frame as well
+            # conditioned as the gram; elimination can blow up on a small pivot
+            eigvals, vecs = np.linalg.eigh((gf + gf.T) / 2)
+            frame = (vecs, vecs.T, tuple(eigvals.tolist()))
         object.__setattr__(self, "gram", g)
-        object.__setattr__(self, "frame", (p, p_inv, d))
+        object.__setattr__(self, "frame", frame)
 
     @classmethod
     def euclidean(cls, n: int) -> "Metric":
@@ -478,14 +483,7 @@ def metric_dual(v: Multivector, metric: Metric) -> list:
 
 def metric_raise(components, metric: Metric) -> Multivector:
     """Inverse operation of metric_dual: covector components -> vector."""
-    ginv = metric.inverse_gram()
-    comps = list(components)
-    raised = []
-    for i in range(metric.n):
-        acc = 0
-        for j, cj in enumerate(comps):
-            acc = acc + ginv[i, j] * cj
-        raised.append(acc)
+    raised = metric.inverse_gram() @ np.array(list(components), dtype=object)
     return Multivector.from_vector(raised, metric.n)
 
 

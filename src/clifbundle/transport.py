@@ -74,7 +74,7 @@ class Path:
             points = points.T
         if times.ndim != 1 or len(times) < 2:
             raise ValueError("a path needs at least 2 samples")
-        if np.any(np.diff(times) <= 0):
+        if not np.all(np.diff(times) > 0):
             raise ValueError("path times must be strictly increasing")
         if points.shape[0] != len(times):
             raise ValueError("one base point per sample time required")
@@ -484,9 +484,9 @@ def scenario_from_dict(data: dict) -> Scenario:
                 raise ValueError("tabulated hamiltonian needs exactly one matrix per time")
             if mats.shape[1:] != (dim, dim):
                 raise ValueError(f"tabulated hamiltonian matrices must be {dim}x{dim}")
-            if np.any(np.diff(times) <= 0):
+            if not np.all(np.diff(times) > 0):
                 raise ValueError("tabulated hamiltonian times must be strictly increasing")
-            if times[0] > path.t_start or times[-1] < path.t_end:
+            if not (times[0] <= path.t_start and times[-1] >= path.t_end):
                 raise ValueError("tabulated hamiltonian times must cover the whole path")
             ham = HamiltonianSpec(dim, lambda t: _interp_linear(times, mats, t))
         else:

@@ -141,6 +141,15 @@ def test_transport_hamiltonian_table_count_mismatch_is_config_error(tmp_path):
     assert main(["transport", "--scenario", scenario]) == 2
 
 
+@pytest.mark.parametrize("times", [[0.0, float("nan"), 1.0], [0.0, 0.5, float("nan")]])
+def test_transport_nan_hamiltonian_time_is_config_error(tmp_path, times):
+    # json reads NaN, and every comparison with it is false
+    data = qubit_scenario_dict()
+    data["hamiltonian"] = _tabulated_hamiltonian(times, 3)
+    scenario = write_scenario(tmp_path, data)
+    assert main(["transport", "--scenario", scenario]) == 2
+
+
 def test_transport_malformed_json_is_config_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{ not json")

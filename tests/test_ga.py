@@ -174,18 +174,42 @@ def test_clifford_bivector_square_cl20():
     assert clifford(e12, e12, g) == Multivector.scalar(F(-1), 2)
 
 
+# non-diagonal grams, several with zero diagonal entries; in [[0,1],[1,-2]]
+# only e1 - e2, not e1 + e2, repairs the zero pivot
+GENERAL_METRICS = [
+    Metric.from_gram(np.array(rows, dtype=object))
+    for rows in (
+        [[0, 1], [1, 0]],
+        [[0, 1], [1, -2]],
+        [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+        [[0, 2, 0], [2, 1, 0], [0, 0, -3]],
+        [[1, 1, 0], [1, 0, 1], [0, 1, 0]],
+        [[F(1, 2), 2, 0, 0], [2, 3, -2, 0], [0, -2, 0, 1], [0, 0, 1, -3]],
+    )
+]
+
+
 def test_defining_relations_all_signatures_small():
-    for p in range(0, 5):
-        for q in range(0, 5 - p):
-            if p + q == 0:
-                continue
-            sig = Signature(p, q)
-            g = sig.metric()
-            n = sig.n
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    lhs = clifford(e(i, n), e(j, n), g) + clifford(e(j, n), e(i, n), g)
-                    assert lhs == Multivector.scalar(2 * F(g.entry(i - 1, j - 1)), n)
+    # every signature up to n = 4, then the general grams
+    signatures = [Signature(p, q) for p in range(5) for q in range(5 - p) if p + q]
+    for g in [sig.metric() for sig in signatures] + GENERAL_METRICS:
+        n = g.n
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                lhs = clifford(e(i, n), e(j, n), g) + clifford(e(j, n), e(i, n), g)
+                assert lhs == Multivector.scalar(2 * F(g.entry(i - 1, j - 1)), n)
+
+
+@pytest.mark.parametrize("tiny", [1e-9, 1e-200])
+def test_defining_relations_float_gram_with_tiny_diagonal(tiny):
+    # well conditioned (det -1) but with a tiny leading entry, which an
+    # unpivoted elimination frame would turn into entries of size 1/tiny
+    g = Metric.from_gram([[tiny, 1.0], [1.0, 1.0]])
+    for i in (1, 2):
+        for j in (1, 2):
+            ei, ej = e(i, 2, 1.0), e(j, 2, 1.0)
+            lhs = clifford(ei, ej, g) + clifford(ej, ei, g)
+            assert lhs.almost_equal(Multivector.scalar(2 * g.entry(i - 1, j - 1), 2), 1e-12)
 
 
 def test_clifford_associative_float_random():

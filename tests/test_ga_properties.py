@@ -24,6 +24,7 @@ from clifbundle.ga import (
     interior,
     wedge,
 )
+from test_ga import GENERAL_METRICS
 
 DIM = 4
 SIGNATURE = Signature(2, 2)
@@ -140,32 +141,6 @@ def test_general_metric_blades_match_diagonal_fast_path(q, ma, mb):
     b = Multivector(DIM, {mb: F(1)})
     lhs = clifford(apply_linear_map(a, q), apply_linear_map(b, q), general)
     assert lhs == apply_linear_map(clifford(a, b, METRIC), q)
-
-
-# non-diagonal grams, several with zero diagonal entries; in [[0,1],[1,-2]]
-# only e1 - e2, not e1 + e2, repairs the zero pivot
-GENERAL_METRICS = [
-    Metric.from_gram(np.array(rows, dtype=object))
-    for rows in (
-        [[0, 1], [1, 0]],
-        [[0, 1], [1, -2]],
-        [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
-        [[0, 2, 0], [2, 1, 0], [0, 0, -3]],
-        [[1, 1, 0], [1, 0, 1], [0, 1, 0]],
-        [[F(1, 2), 2, 0, 0], [2, 3, -2, 0], [0, -2, 0, 1], [0, 0, 1, -3]],
-    )
-]
-
-
-@pytest.mark.parametrize("metric", GENERAL_METRICS, ids=[f"gram{k}" for k in range(6)])
-def test_general_metric_vector_anticommutator_every_pair(metric):
-    n = metric.n
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            ei = Multivector.basis_vector(i, n, F(1))
-            ej = Multivector.basis_vector(j, n, F(1))
-            lhs = clifford(ei, ej, metric) + clifford(ej, ei, metric)
-            assert lhs == Multivector.scalar(2 * metric.entry(i - 1, j - 1), n)
 
 
 @st.composite
