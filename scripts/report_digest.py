@@ -32,6 +32,10 @@ RUNS = [
     ["spinor-rep", "--signature", "0,3"],
     ["spinor-rep", "--signature", "1,3"],
     ["spinor-rep", "--signature", "4,1"],
+    # real M_8(R); the search note lists the redundant factor e124 = e1 e24
+    ["spinor-rep", "--signature", "3,3"],
+    # quaternionic M_4(H): exhaustive search, 16-dimensional ideal
+    ["spinor-rep", "--signature", "2,4"],
     ["transport", "--scenario", "scenarios/qubit.json"],
     ["transport", "--scenario", "scenarios/qubit_gauged.json"],
     ["dirac", "--scenario", "dispersion"],

@@ -169,33 +169,32 @@ def cmd_spinor_rep(args) -> int:
     )
     basis = sp._ideal_basis(idem, metric)
     gamma_set = sp.spinor_rep_matrices(basis, metric, sig)
-    if idem.whole_algebra:
-        report.add_bool(
-            "minimal-ideal", True,
-            relation="division algebra: the whole algebra is the minimal ideal",
-            details=f"ideal dimension {idem.ideal_dimension}",
-        )
-    else:
-        invariance = sp.ideal_invariance_residual(basis, metric)
-        report.add(
-            "minimal-ideal", residual=invariance, tolerance=0.0,
-            relation="v (ideal) lies inside the ideal for every basis vector v",
-            details=f"ideal dimension {len(basis)}",
-        )
+    # matrices of a basis that is not a left ideal represent nothing
+    closed = gamma_set.closure_failures == 0
+    report.add(
+        "minimal-ideal", residual=gamma_set.closure_failures, tolerance=0.0,
+        relation=(
+            "division algebra: the whole algebra is the minimal ideal" if idem.whole_algebra
+            else "v (ideal) lies inside the ideal for every basis vector v"
+        ),
+        details=f"ideal dimension {len(basis)}",
+    )
     residual = gamma_set.anticommutator_residuals()
     report.add(
         "gamma-relations", residual=float(residual), tolerance=0.0,
         relation="g^mu g^nu + g^nu g^mu = 2 g^{mu nu} I (exact)",
         details=f"representation dimension {gamma_set.dim}",
+        passed=closed and residual == 0,
     )
-    # Checked against sigma^{mu mu} = 0 and sigma^{mu nu} = g^mu g^nu / 2, not the
-    # commutator sigma_generators uses; gamma-relations makes the two equivalent.
+    # Checked against sigma^{mu mu} = 0 and sigma^{mu nu} = g^mu g^nu / 2, read from the
+    # product table, not the commutator sigma_generators forms; for mu != nu the two
+    # agree exactly when g^mu and g^nu anticommute.
     sigmas = sp.sigma_generators(gamma_set)
+    products = gamma_set.products
     worst = 0
     for mu in range(sig.n):
         for nu in range(sig.n):
-            g1, g2 = gamma_set.gammas[mu], gamma_set.gammas[nu]
-            expected = 0 if mu == nu else (g1 @ g2) * sp.HALF
+            expected = 0 if mu == nu else products[mu][nu] * sp.HALF
             delta = sigmas.mat(mu, nu) - expected
             anti = sigmas.mat(mu, nu) + sigmas.mat(nu, mu)
             worst = max(
@@ -206,6 +205,7 @@ def cmd_spinor_rep(args) -> int:
     report.add(
         "sigma-generators", residual=float(worst), tolerance=0.0,
         relation="4 sigma^{mu nu} = [g^mu, g^nu], antisymmetric in (mu, nu)",
+        passed=closed and worst == 0,
     )
     matrices = {
         f"gamma_{mu + 1}": np.array(g, dtype=float).reshape(-1).tolist()

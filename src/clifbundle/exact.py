@@ -1,7 +1,7 @@
 """Small exact linear-algebra kernel over Python scalars.
 
 Everything here works on numpy ``object`` arrays holding ``Fraction`` (or
-``int``) entries, so ranks, solves and inverses come out exact.  The same
+``int``) entries, so ranks and reductions come out exact.  The same
 routines run fine on float arrays; exactness is a property of the inputs.
 """
 
@@ -59,24 +59,6 @@ def rref(mat: np.ndarray):
 def rank(mat: np.ndarray) -> int:
     _, pivots = rref(mat)
     return len(pivots)
-
-
-def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b exactly.  Raises ValueError if singular or inconsistent.
-
-    ``a`` may be tall, with more equations than unknowns, if its columns
-    are independent.  ``b`` may be a vector or a matrix of right-hand sides.
-    """
-    rows, n = a.shape
-    b2 = b.reshape(rows, -1)
-    aug = np.concatenate([a, b2], axis=1)
-    red, pivots = rref(aug)
-    if any(p >= n for p in pivots):
-        raise ValueError("inconsistent linear system")
-    if len(pivots) < n:
-        raise ValueError("singular matrix")
-    x = red[:n, n:]
-    return x.reshape((n,) + b.shape[1:])
 
 
 def is_zero(mat: np.ndarray) -> bool:

@@ -25,6 +25,7 @@ from .ga import Signature
 from .spinor import (
     GammaSet,
     anticommutator_residual,
+    gamma_products,
     gamma_set_for_signature,
     orthogonalize_gammas,
 )
@@ -228,7 +229,7 @@ class FieldGammaSet:
         return self.gammas[0]
 
     def anticommutator_residual(self) -> float:
-        return anticommutator_residual(self.gammas, self.eta)
+        return anticommutator_residual(gamma_products(self.gammas), self.eta)
 
     def hermiticity_residual(self) -> float:
         """gamma0 and gamma0 @ gamma^mu must all be Hermitian."""
@@ -333,10 +334,6 @@ def dirac_pairing(phi: SpinorField, psi: SpinorField, gset: FieldGammaSet) -> co
     return complex(np.sum(np.conj(phi.components) * g0phi) * phi.grid.cell_volume)
 
 
-def l2_inner(phi: SpinorField, psi: SpinorField) -> complex:
-    return complex(np.sum(np.conj(phi.components) * psi.components) * phi.grid.cell_volume)
-
-
 def momentum_expectation(psi: SpinorField, axis: int) -> float:
     """<-i d_axis> / <1> with the plain L2 product (conserved under free evolution)."""
     dpsi = central_diff(psi.components, axis + 1, psi.grid.spacing[axis])
@@ -418,12 +415,11 @@ class WrappedGammaField:
     matrices: np.ndarray = field(repr=False)  # (d, *extents, m, m)
 
     def anticommutator_residual(self) -> float:
-        return anticommutator_residual(self.matrices, self.eta)
+        return anticommutator_residual(gamma_products(self.matrices), self.eta)
 
 
 def _check_invertible_field(l_field: np.ndarray, grid: Grid):
-    dets = np.linalg.det(l_field)
-    bad = np.abs(dets) <= 1e-12
+    bad = ~(np.linalg.cond(l_field) < 1e12)
     if np.any(bad):
         idx = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
         raise ValueError(f"trivialization matrix singular at grid point {idx}")

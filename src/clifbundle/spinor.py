@@ -3,14 +3,19 @@
 The regular representation acts on the 2^n blade basis.  Primitive
 idempotents are searched as products of commuting basis blades squaring
 to +1; the left ideal they generate carries the irreducible (spinor)
-representation, from which the gamma matrices are extracted by exact
-linear algebra.  Everything in this module runs over Fractions so that
-the defining anticommutation relations are checked as equalities.
+representation.  Its basis is in reduced row echelon form, so the gamma
+matrices are read off, not solved for: the coordinates of e^mu w are its
+entries at the basis' pivot masks, and each image is confirmed by exact
+reconstruction, which also proves the ideal closed.  Each GammaSet forms
+its products g^mu g^nu once, for the anticommutator and sigma checks.
+Everything in this module runs over Fractions so that the defining
+anticommutation relations are checked as equalities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -185,35 +190,22 @@ def minimal_left_ideal(f: Multivector, metric: Metric) -> list[Multivector]:
     return [coords_to_multivector(red[r], n) for r in range(len(pivots))]
 
 
-def ideal_invariance_residual(basis: list[Multivector], metric: Metric) -> int:
-    """Count of products e_mu * w that fail to re-expand in the basis (0 = invariant)."""
-    if not basis:
-        return 0
-    n = basis[0].n
-    span = np.stack([multivector_coords(w) for w in basis], axis=1)
-    failures = 0
-    for mu in range(n):
-        e = Multivector.basis_vector(mu + 1, n, Fraction(1))
-        for w in basis:
-            rhs = multivector_coords(clifford(e, w, metric))
-            try:
-                exact.solve(span, rhs)
-            except ValueError:
-                failures += 1
-    return failures
-
-
 # ---------------------------------------------------------------------------
 # gamma matrices
 
 
 @dataclass(frozen=True)
 class GammaSet:
-    """Spinor-representation matrices, one per basis vector, indices raised."""
+    """Spinor-representation matrices, one per basis vector, indices raised.
+
+    They represent the algebra only if no image e^mu w left the ideal's span
+    (``closure_failures == 0``).
+    """
 
     signature: Signature
     dim: int
     gammas: list = field(repr=False)
+    closure_failures: int = 0
 
     @property
     def n(self) -> int:
@@ -223,25 +215,36 @@ class GammaSet:
     def metric_diag(self) -> tuple[int, ...]:
         return self.signature.diag
 
+    @cached_property
+    def products(self) -> list[list[np.ndarray]]:
+        """The table P[mu][nu] = g^mu g^nu, formed once per set."""
+        return gamma_products(self.gammas)
+
     def anticommutator_residuals(self):
         """Max |{g^mu, g^nu} - 2 g^{mu nu} I| entry over all pairs; exact zero expected."""
-        return anticommutator_residual(self.gammas, self.metric_diag)
+        return anticommutator_residual(self.products, self.metric_diag)
 
 
-def anticommutator_residual(gammas, diag):
-    """Largest entry of |g^mu g^nu + g^nu g^mu - 2 diag[mu] delta^{mu nu} I|.
+def gamma_products(gammas) -> list[list[np.ndarray]]:
+    """The table P[mu][nu] = g^mu g^nu of a gamma sequence."""
+    return [[a @ b for b in gammas] for a in gammas]
 
-    Exact (object) matrices give the exact residual.  Float matrices give a
-    float, and may be stacked fields of shape (d, *extents, m, m).
+
+def anticommutator_residual(products, diag):
+    """Largest entry of |P[mu][nu] + P[nu][mu] - 2 diag[mu] delta^{mu nu} I|.
+
+    ``products`` is a ``gamma_products`` table.  Exact (object) matrices give
+    the exact residual.  Float matrices give a float, and may be stacked
+    fields of shape (*extents, m, m).
     """
-    exact_mode = gammas[0].dtype == object
-    m = gammas[0].shape[-1]
+    exact_mode = products[0][0].dtype == object
+    m = products[0][0].shape[-1]
     eye = exact.identity(m) if exact_mode else np.eye(m)
     worst = 0 if exact_mode else 0.0
     for mu in range(len(diag)):
-        for nu in range(len(diag)):
+        for nu in range(mu, len(diag)):
             target = (2 * diag[mu] if mu == nu else 0) * eye
-            delta = gammas[mu] @ gammas[nu] + gammas[nu] @ gammas[mu] - target
+            delta = products[mu][nu] + products[nu][mu] - target
             if exact_mode:
                 worst = max(worst, max(abs(x) for x in np.ravel(delta)))
             else:
@@ -252,23 +255,32 @@ def anticommutator_residual(gammas, diag):
 def spinor_rep_matrices(
     ideal_basis: list[Multivector], metric: Metric, signature: Signature
 ) -> GammaSet:
-    """Restrict the regular action of the raised basis vectors to the ideal."""
+    """Restrict the regular action of the raised basis vectors to the ideal.
+
+    In a reduced row echelon basis (as ``minimal_left_ideal`` gives) the
+    coordinates of an image are its entries at the pivots, the vectors'
+    lowest masks.  Each read is confirmed by rebuilding the image, so a wrong
+    read can only fail; failed images are counted in ``closure_failures``.
+    """
     if not ideal_basis:
         raise ValueError("empty ideal basis")
     n = ideal_basis[0].n
-    m = len(ideal_basis)
-    span = np.stack([multivector_coords(w) for w in ideal_basis], axis=1)
+    pivots = [min(w.terms) for w in ideal_basis]
     gammas = []
+    failures = 0
     for mu in range(n):
         raised = metric_raise([1 if j == mu else 0 for j in range(n)], metric)
-        images = np.stack(
-            [multivector_coords(clifford(raised, w, metric)) for w in ideal_basis], axis=1
-        )
-        try:
-            gammas.append(exact.solve(span, images))
-        except ValueError as exc:
-            raise ClosureError(f"ideal is not invariant under e^{mu + 1}: {exc}") from exc
-    return GammaSet(signature=signature, dim=m, gammas=gammas)
+        cols = []
+        for w in ideal_basis:
+            image = clifford(raised, w, metric)
+            col = [image.coeff(p) for p in pivots]
+            rebuilt = sum((c * b for c, b in zip(col, ideal_basis) if c), Multivector.zero(n))
+            failures += rebuilt != image
+            cols.append(col)
+        gammas.append(exact.frac_matrix(cols).T)
+    return GammaSet(
+        signature=signature, dim=len(ideal_basis), gammas=gammas, closure_failures=failures
+    )
 
 
 def _ideal_basis(report: IdempotentReport, metric: Metric) -> list[Multivector]:
@@ -282,7 +294,10 @@ def _ideal_basis(report: IdempotentReport, metric: Metric) -> list[Multivector]:
 def gamma_set_for_signature(sig: Signature) -> GammaSet:
     """Idempotent search -> minimal ideal -> extracted gamma matrices."""
     metric = sig.metric()
-    return spinor_rep_matrices(_ideal_basis(find_primitive_idempotent(sig), metric), metric, sig)
+    gs = spinor_rep_matrices(_ideal_basis(find_primitive_idempotent(sig), metric), metric, sig)
+    if gs.closure_failures:
+        raise ClosureError(f"{gs.closure_failures} images e^mu w leave the ideal of {sig}")
+    return gs
 
 
 def algebra_span_dimension(gamma_set: GammaSet) -> int:
@@ -320,13 +335,14 @@ class SigmaSet:
 
 
 def sigma_generators(gamma_set: GammaSet) -> SigmaSet:
-    table = {}
-    exact_mode = gamma_set.gammas[0].dtype == object
-    quarter = QUARTER if exact_mode else 0.25
-    for mu in range(gamma_set.n):
-        for nu in range(gamma_set.n):
-            g1, g2 = gamma_set.gammas[mu], gamma_set.gammas[nu]
-            table[(mu, nu)] = (g1 @ g2 - g2 @ g1) * quarter
+    """Quarter-commutators read from the set's product table."""
+    quarter = QUARTER if gamma_set.gammas[0].dtype == object else 0.25
+    p = gamma_set.products
+    table = {
+        (mu, nu): (p[mu][nu] - p[nu][mu]) * quarter
+        for mu in range(gamma_set.n)
+        for nu in range(gamma_set.n)
+    }
     return SigmaSet(n=gamma_set.n, dim=gamma_set.dim, table=table)
 
 
@@ -447,11 +463,13 @@ def _matrix_algebra_check(sig: Signature, expected_ideal_dim: int) -> list[Check
     )
     metric = sig.metric()
     gamma_set = spinor_rep_matrices(_ideal_basis(report, metric), metric, sig)
+    # matrices of a basis that is not a left ideal represent nothing
+    closed = gamma_set.closure_failures == 0
     residual = gamma_set.anticommutator_residuals()
     rows.append(
         Check(
             name=f"{name}-gamma-relations",
-            passed=residual == 0,
+            passed=closed and residual == 0,
             residual=float(residual),
             tolerance=0.0,
             relation="g^mu g^nu + g^nu g^mu = 2 g^{mu nu} I (exact)",
@@ -461,7 +479,7 @@ def _matrix_algebra_check(sig: Signature, expected_ideal_dim: int) -> list[Check
     rows.append(
         Check.boolean(
             f"{name}-full-matrix-span",
-            span == matrix_dim,
+            closed and span == matrix_dim,
             f"blade images span all of M_{expected_ideal_dim}(R)",
             details=f"span dimension {span} of {matrix_dim}",
         )

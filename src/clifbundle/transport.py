@@ -143,7 +143,7 @@ class Trivialization:
             raise ValueError("need one trivialization matrix per path sample")
         dim = mats.shape[1]
         for k, m in enumerate(mats):
-            if abs(np.linalg.det(m)) <= 1e-12:
+            if not np.linalg.cond(m) < 1e12:
                 raise SingularTrivializationError(
                     f"trivialization matrix at sample {k} is singular"
                 )
@@ -157,8 +157,7 @@ class Trivialization:
 
     def inverse(self, t: float) -> np.ndarray:
         m = self.matrix(t)
-        det = np.linalg.det(m)
-        if abs(det) <= 1e-12:
+        if not np.linalg.cond(m) < 1e12:
             raise SingularTrivializationError(f"trivialization singular at t={t}")
         return np.linalg.inv(m)
 

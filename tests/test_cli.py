@@ -1,9 +1,14 @@
+import dataclasses
 import json
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from clifbundle import exact
+from clifbundle import spinor as sp
 from clifbundle.cli import main
+from clifbundle.ga import Multivector, Signature, clifford
 from clifbundle.transport import matrix_to_json, qubit_scenario_dict
 
 
@@ -76,6 +81,97 @@ def test_spinor_rep_division_algebra(tmp_path):
     report = load_report(tmp_path, "spinor_rep_report.json")
     ideal = [c for c in report["checks"] if c["name"] == "minimal-ideal"][0]
     assert "whole algebra" in ideal["relation"] or "whole algebra" in ideal["details"]
+
+
+def statuses(report) -> dict:
+    return {c["name"]: c["status"] for c in report["checks"]}
+
+
+@pytest.fixture
+def scalar_in_ideal(monkeypatch):
+    """minimal_left_ideal with its first (pivot-mask-0) vector replaced by 1: not a left ideal."""
+    original = sp.minimal_left_ideal
+
+    def patched(f, metric):
+        return [Multivector.scalar(F(1), f.n)] + original(f, metric)[1:]
+
+    monkeypatch.setattr(sp, "minimal_left_ideal", patched)
+    return patched
+
+
+def test_spinor_rep_closure_failure_is_a_law_failure(tmp_path, scalar_in_ideal):
+    sig = Signature(3, 1)
+    metric = sig.metric()
+    basis = scalar_in_ideal(sp.find_primitive_idempotent(sig).idempotent, metric)
+    # independent count: the images e^mu w that raise the rank of the span
+    span = np.stack([sp.multivector_coords(w) for w in basis], axis=1)
+    outside = 0
+    for mu in range(sig.n):
+        raised = Multivector.basis_vector(mu + 1, sig.n, F(sig.diag[mu]))
+        for w in basis:
+            image = sp.multivector_coords(clifford(raised, w, metric)).reshape(-1, 1)
+            outside += exact.rank(np.concatenate([span, image], axis=1)) > len(basis)
+    assert main(["spinor-rep", "--signature", "3,1", "--out", str(tmp_path)]) == 1
+    report = load_report(tmp_path, "spinor_rep_report.json")
+    ideal = [c for c in report["checks"] if c["name"] == "minimal-ideal"][0]
+    assert ideal["status"] == "fail" and ideal["residual"] == outside > 0
+    assert statuses(report)["gamma-relations"] == "fail"
+    assert statuses(report)["sigma-generators"] == "fail"
+
+
+def test_verify_closure_failure_is_a_law_failure(tmp_path, scalar_in_ideal):
+    assert main(["verify", "--out", str(tmp_path)]) == 1
+    status = statuses(load_report(tmp_path, "verify_report.json"))
+    for tag in ("cl11", "cl20", "cl31"):
+        assert status[f"{tag}-gamma-relations"] == "fail"
+        assert status[f"{tag}-full-matrix-span"] == "fail"
+
+
+def test_spinor_rep_fails_a_gamma_that_breaks_anticommutation(tmp_path, monkeypatch):
+    # the product table is shared by gamma-relations and sigma-generators;
+    # both must still see g^2 -> g^2 + g^1 break the relations
+    original = sp.spinor_rep_matrices
+
+    def broken(*args):
+        gs = original(*args)
+        g = list(gs.gammas)
+        g[1] = g[1] + g[0]
+        return dataclasses.replace(gs, gammas=g)
+
+    monkeypatch.setattr(sp, "spinor_rep_matrices", broken)
+    assert main(["spinor-rep", "--signature", "3,1", "--out", str(tmp_path)]) == 1
+    status = statuses(load_report(tmp_path, "spinor_rep_report.json"))
+    assert status["gamma-relations"] == "fail"
+    assert status["sigma-generators"] == "fail"
+    assert status["minimal-ideal"] == "pass"
+
+
+class _CountingMatrix(np.ndarray):
+    """Object matrix that counts every matrix product it takes part in."""
+
+    matmuls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _CountingMatrix.matmuls += 1
+        plain = [x.view(np.ndarray) if isinstance(x, _CountingMatrix) else x for x in inputs]
+        out = getattr(ufunc, method)(*plain, **kwargs)
+        return out.view(_CountingMatrix) if isinstance(out, np.ndarray) else out
+
+
+@pytest.mark.parametrize("signature", ["3,1", "0,2", "2,3"])
+def test_spinor_rep_forms_each_gamma_product_once(tmp_path, monkeypatch, signature):
+    original = sp.spinor_rep_matrices
+
+    def counted(*args):
+        gs = original(*args)
+        return dataclasses.replace(gs, gammas=[g.view(_CountingMatrix) for g in gs.gammas])
+
+    monkeypatch.setattr(sp, "spinor_rep_matrices", counted)
+    monkeypatch.setattr(_CountingMatrix, "matmuls", 0)
+    assert main(["spinor-rep", "--signature", signature, "--out", str(tmp_path)]) == 0
+    n = sum(int(x) for x in signature.split(","))
+    assert _CountingMatrix.matmuls == n * n
 
 
 # ---------------------------------------------------------------------------

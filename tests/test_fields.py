@@ -297,6 +297,22 @@ def test_bundle_wrap_reports_singular_point(g2):
         bundle_wrap(g2, grid, l_field)
 
 
+def test_bundle_wrap_accepts_small_well_conditioned_field(g4):
+    # 5e-4 I has condition number 1; its |det| = 6.25e-14 failed the old absolute gate
+    grid = spacetime_grid(4)
+    l_field = np.broadcast_to(5e-4 * np.eye(4), grid.extents + (4, 4))
+    assert bundle_wrap(g4, grid, l_field).anticommutator_residual() <= 1e-10
+
+
+def test_bundle_wrap_rejects_ill_conditioned_point(g2):
+    # diag(1e6, 1e-7) has |det| = 0.1 but condition number 1e13
+    grid = spacetime_grid(4)
+    l_field = np.broadcast_to(np.eye(2), grid.extents + (2, 2)).copy().astype(complex)
+    l_field[1, 2] = np.diag([1e6, 1e-7])
+    with pytest.raises(ValueError, match=r"\(1, 2\)"):
+        bundle_wrap(g2, grid, l_field)
+
+
 # ---------------------------------------------------------------------------
 # Dirac time evolution
 

@@ -135,7 +135,7 @@ def unimodular(draw, n=DIM):
 def test_general_metric_blades_match_diagonal_fast_path(q, ma, mb):
     # Lambda(Q) carries Cl(D) isomorphically onto Cl(G) for G = Q^-T D Q^-1.
     # Q is drawn independently of the frame the implementation finds for G.
-    q_inv = exact.solve(q, exact.identity(DIM))
+    q_inv = exact.rref(np.concatenate([q, exact.identity(DIM)], axis=1))[0][:, DIM:]
     general = Metric.from_gram(q_inv.T @ METRIC.gram @ q_inv)
     a = Multivector(DIM, {ma: F(1)})
     b = Multivector(DIM, {mb: F(1)})

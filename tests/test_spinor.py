@@ -3,16 +3,16 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from clifbundle import exact
+from clifbundle import exact, spinor
 from clifbundle.ga import Metric, Multivector, Signature, basis_blades, clifford
 from clifbundle.spinor import (
     ClosureError,
+    _ideal_basis,
     algebra_span_dimension,
     blade_square_sign,
     blades_commute,
     find_primitive_idempotent,
     gamma_set_for_signature,
-    ideal_invariance_residual,
     minimal_left_ideal,
     multivector_coords,
     orthogonalize_gammas,
@@ -123,7 +123,7 @@ def test_minimal_left_ideal_basis_and_invariance():
     report = find_primitive_idempotent(sig)
     basis = minimal_left_ideal(report.idempotent, metric)
     assert len(basis) == 2
-    assert ideal_invariance_residual(basis, metric) == 0
+    assert spinor_rep_matrices(basis, metric, sig).closure_failures == 0
 
 
 @pytest.mark.parametrize("p,q", [(1, 1), (3, 1), (2, 0)])
@@ -133,22 +133,12 @@ def test_simple_algebra_ideal_dimension_squares_to_algebra_dimension(p, q):
     assert report.ideal_dimension**2 == 1 << sig.n
 
 
-def test_exact_solve_tall_system():
-    a = exact.frac_matrix([[1, 0], [0, 1], [1, 1]])
-    x = exact.solve(a, exact.frac_matrix([[2], [3], [5]])[:, 0])
-    assert x.shape == (2,) and mat_equal(x, [2, 3])
-    with pytest.raises(ValueError):
-        exact.solve(a, exact.frac_matrix([[2], [3], [4]])[:, 0])
-
-
 def test_non_invariant_span_is_reported():
     # span{1, e1} in Cl(1,1) is not a left ideal: e2 * 1 = e2 leaves it
     sig = Signature(1, 1)
     metric = sig.metric()
     basis = [Multivector.scalar(F(1), 2), Multivector.basis_vector(1, 2, F(1))]
-    assert ideal_invariance_residual(basis, metric) == 2
-    with pytest.raises(ClosureError):
-        spinor_rep_matrices(basis, metric, sig)
+    assert spinor_rep_matrices(basis, metric, sig).closure_failures == 2
 
 
 def test_ideal_closed_under_left_multiplication_cl31():
@@ -157,7 +147,7 @@ def test_ideal_closed_under_left_multiplication_cl31():
     report = find_primitive_idempotent(sig)
     basis = minimal_left_ideal(report.idempotent, metric)
     assert len(basis) == 4
-    assert ideal_invariance_residual(basis, metric) == 0
+    assert spinor_rep_matrices(basis, metric, sig).closure_failures == 0
 
 
 # ---------------------------------------------------------------------------
@@ -418,3 +408,36 @@ def test_blade_square_and_commutation_helpers():
     assert blade_square_sign(0b0111, diag) == -1    # (e123)^2 = -1
     assert blades_commute(0b0001, 0b1011)           # e1 and e124
     assert not blades_commute(0b0001, 0b0010)       # e1 and e2
+
+
+# ---------------------------------------------------------------------------
+# pivot read-off
+
+
+@pytest.mark.parametrize("p,q", [(1, 1), (0, 2), (3, 1), (0, 3), (2, 2), (1, 3)])
+def test_pivot_read_off_matches_elimination(p, q):
+    # the coordinates read at the pivot masks are the unique solution of
+    # span @ x = e^mu w that elimination over [span | images] finds
+    sig = Signature(p, q)
+    metric = sig.metric()
+    basis = _ideal_basis(find_primitive_idempotent(sig), metric)
+    gs = spinor_rep_matrices(basis, metric, sig)
+    assert gs.closure_failures == 0
+    m = len(basis)
+    span = np.stack([multivector_coords(w) for w in basis], axis=1)
+    for mu in range(sig.n):
+        raised = Multivector.basis_vector(mu + 1, sig.n, F(sig.diag[mu]))
+        images = np.stack([multivector_coords(clifford(raised, w, metric)) for w in basis], axis=1)
+        red, pivots = exact.rref(np.concatenate([span, images], axis=1))
+        assert pivots == list(range(m))
+        assert mat_equal(red[:m, m:], gs.gammas[mu])
+
+
+def test_gamma_set_for_signature_rejects_a_non_ideal(monkeypatch):
+    # span{1, e1} in Cl(1,1) is not a left ideal
+    monkeypatch.setattr(
+        spinor, "minimal_left_ideal",
+        lambda f, metric: [Multivector.scalar(F(1), 2), Multivector.basis_vector(1, 2, F(1))],
+    )
+    with pytest.raises(ClosureError, match="2 images"):
+        gamma_set_for_signature(Signature(1, 1))

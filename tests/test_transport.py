@@ -182,6 +182,24 @@ def test_singular_trivialization_detected():
         Trivialization.from_samples(path, mats)
 
 
+def test_trivialization_gates_accept_small_well_conditioned_matrix():
+    # 5e-4 I has condition number 1; its |det| = 6.25e-14 failed the old absolute gate
+    path = Path.line(0.0, 1.0, 3)
+    triv = Trivialization.from_samples(path, [5e-4 * np.eye(4)] * 3)
+    assert np.max(np.abs(triv.inverse(0.5) - 2e3 * np.eye(4))) <= 1e-9
+
+
+def test_trivialization_gates_reject_ill_conditioned_matrix():
+    # diag(1e6, 1e-7) has |det| = 0.1, which passed the old absolute gate,
+    # but condition number 1e13
+    path = Path.line(0.0, 1.0, 3)
+    bad = np.diag([1e6, 1e-7])
+    with pytest.raises(SingularTrivializationError, match="sample 1"):
+        Trivialization.from_samples(path, [np.eye(2), bad, np.eye(2)])
+    with pytest.raises(SingularTrivializationError, match="t=0.5"):
+        Trivialization.from_time_function(2, lambda t: bad).inverse(0.5)
+
+
 def test_path_validation():
     with pytest.raises(ValueError):
         Path(np.array([0.0]), np.array([[0.0]]))
