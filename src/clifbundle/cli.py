@@ -292,8 +292,7 @@ def cmd_transport(args) -> int:
     psi0[0] = 1.0
     series_times = np.linspace(t0, t1, 21)
     rows = []
-    for t in series_times:
-        psi = tr.solve_bundle_schrodinger(transport, psi0, t)
+    for t, psi in zip(series_times, transport.propagate(series_times, t0) @ psi0):
         rows.append([t] + [v for comp in psi for v in (comp.real, comp.imag)])
     if args.out:
         path = FsPath(args.out)

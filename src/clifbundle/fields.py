@@ -419,7 +419,10 @@ class WrappedGammaField:
 
 
 def _check_invertible_field(l_field: np.ndarray, grid: Grid):
-    bad = ~(np.linalg.cond(l_field) < 1e12)
+    # cond fails on a non-finite matrix, so non-finite points are found first
+    bad = ~np.all(np.isfinite(l_field), axis=(-2, -1))
+    if not np.any(bad):
+        bad = ~(np.linalg.cond(l_field) < 1e12)
     if np.any(bad):
         idx = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
         raise ValueError(f"trivialization matrix singular at grid point {idx}")

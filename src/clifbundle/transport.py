@@ -28,6 +28,7 @@ __all__ = [
     "Lifting",
     "Transport",
     "evolve",
+    "rk4_step",
     "rk4_linear",
     "transport_operator",
     "connection_coeffs",
@@ -52,11 +53,14 @@ class SingularTrivializationError(ValueError):
 # path, trivialization, Hamiltonian
 
 
-def _interp_linear(times: np.ndarray, values: np.ndarray, t: float) -> np.ndarray:
-    """Piecewise-linear interpolation of values[k] sampled at increasing times[k]."""
-    idx = np.clip(np.searchsorted(times, t), 1, len(times) - 1)
+def _interp_linear(times: np.ndarray, values: np.ndarray, t) -> np.ndarray:
+    """Piecewise-linear interpolation of values[k] sampled at increasing times[k].
+
+    t is a time or an array of times; its shape leads the result's.
+    """
+    idx = np.searchsorted(times[1:-1], t) + 1  # the segment [times[idx-1], times[idx]]
     t0, t1 = times[idx - 1], times[idx]
-    w = (t - t0) / (t1 - t0)
+    w = np.asarray((t - t0) / (t1 - t0))[(...,) + (None,) * (values.ndim - 1)]
     return (1 - w) * values[idx - 1] + w * values[idx]
 
 
@@ -111,6 +115,11 @@ class Path:
         return _interp_linear(self.times, self.points, t)
 
 
+def _well_conditioned(m: np.ndarray) -> bool:
+    """Finite entries and condition number below 1e12 (cond fails on NaN)."""
+    return bool(np.all(np.isfinite(m))) and np.linalg.cond(m) < 1e12
+
+
 @dataclass(frozen=True)
 class Trivialization:
     """Fibre trivialization along a path: x -> invertible matrix l_x.
@@ -143,7 +152,7 @@ class Trivialization:
             raise ValueError("need one trivialization matrix per path sample")
         dim = mats.shape[1]
         for k, m in enumerate(mats):
-            if not np.linalg.cond(m) < 1e12:
+            if not _well_conditioned(m):
                 raise SingularTrivializationError(
                     f"trivialization matrix at sample {k} is singular"
                 )
@@ -157,7 +166,7 @@ class Trivialization:
 
     def inverse(self, t: float) -> np.ndarray:
         m = self.matrix(t)
-        if not np.linalg.cond(m) < 1e12:
+        if not _well_conditioned(m):
             raise SingularTrivializationError(f"trivialization singular at t={t}")
         return np.linalg.inv(m)
 
@@ -171,37 +180,82 @@ class Trivialization:
         return float(max(diffs, default=0.0))
 
 
+def _check_hermitian(h: np.ndarray, label):
+    """Reject unless max|H - H^dagger| <= 1e-12 max|H| for each matrix of a stack.
+
+    Written in the positive form, so a NaN entry fails the test; label(k)
+    names matrix k in the error.
+    """
+    if h.size == 0:
+        return
+    residual = np.max(np.abs(h - np.swapaxes(h.conj(), -1, -2)), axis=(-2, -1))
+    scale = np.max(np.abs(h), axis=(-2, -1))
+    ok = residual <= 1e-12 * scale
+    if not np.all(ok):
+        k = int(np.argmin(ok))
+        raise HermiticityError(
+            f"{label(k)} is not Hermitian (residual {residual[k]:.3e}, "
+            f"max |H| {scale[k]:.3e}; need residual <= 1e-12 max |H|)"
+        )
+
+
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Time-dependent Hermitian matrix t -> H(t)."""
+    """Time-dependent Hermitian matrix t -> H(t).
+
+    A spec built from a callable of_t(t) -> (dim, dim) is evaluated node by
+    node and checked for Hermiticity on every evaluation.  The built-in kinds
+    set `on_times` instead: it maps an array of N times to an (N, dim, dim)
+    stack without a Python loop, and their matrices are checked once, when
+    the spec is built (real-weight sums of Hermitian matrices stay Hermitian).
+    """
 
     dim: int
-    of_t: callable = field(repr=False)
+    of_t: callable = field(default=None, repr=False)
+    on_times: callable = field(default=None, repr=False)
+
+    @classmethod
+    def _checked(cls, matrices: np.ndarray, on_times) -> "HamiltonianSpec":
+        if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
+            raise ValueError("hamiltonian matrices must be square")
+        _check_hermitian(matrices, lambda k: f"hamiltonian matrix {k}")
+        return cls(matrices.shape[-1], on_times=on_times)
 
     @classmethod
     def zero(cls, dim: int) -> "HamiltonianSpec":
-        z = np.zeros((dim, dim), dtype=complex)
-        return cls(dim, lambda t: z)
+        return cls.constant(np.zeros((dim, dim), dtype=complex))
 
     @classmethod
     def constant(cls, matrix) -> "HamiltonianSpec":
         m = np.asarray(matrix, dtype=complex)
-        return cls(m.shape[0], lambda t: m)
+        return cls._checked(m[None], lambda ts: np.broadcast_to(m, ts.shape + m.shape))
 
     @classmethod
     def polynomial(cls, coeff_matrices) -> "HamiltonianSpec":
         """H(t) = sum_k coeff[k] * t^k."""
-        coeffs = [np.asarray(c, dtype=complex) for c in coeff_matrices]
+        coeffs = np.array([np.asarray(c, dtype=complex) for c in coeff_matrices])
+        powers = np.arange(len(coeffs))
+        return cls._checked(
+            coeffs,
+            lambda ts: np.tensordot(ts[:, None] ** powers, coeffs, axes=1),
+        )
 
-        def of_t(t: float) -> np.ndarray:
-            acc = np.zeros_like(coeffs[0])
-            tk = 1.0
-            for c in coeffs:
-                acc = acc + tk * c
-                tk *= t
-            return acc
+    @classmethod
+    def tabulated(cls, times, matrices, t_start: float, t_end: float) -> "HamiltonianSpec":
+        """Piecewise-linear H through matrices[k] at increasing times[k].
 
-        return cls(coeffs[0].shape[0], of_t)
+        The table must cover [t_start, t_end], so nothing is extrapolated.
+        """
+        times = np.asarray(times, dtype=float)
+        mats = np.asarray(matrices, dtype=complex)
+        # a table that interpolation would misread or extrapolate is a bad config
+        if times.ndim != 1 or len(times) != len(mats):
+            raise ValueError("tabulated hamiltonian needs exactly one matrix per time")
+        if not np.all(np.diff(times) > 0):
+            raise ValueError("tabulated hamiltonian times must be strictly increasing")
+        if not (times[0] <= t_start and times[-1] >= t_end):
+            raise ValueError("tabulated hamiltonian times must cover the whole path")
+        return cls._checked(mats, lambda ts: _interp_linear(times, mats, ts))
 
     @classmethod
     def scaled(cls, profile, matrix) -> "HamiltonianSpec":
@@ -209,14 +263,18 @@ class HamiltonianSpec:
         m = np.asarray(matrix, dtype=complex)
         return cls(m.shape[0], lambda t: profile(t) * m)
 
-    def matrix(self, t: float) -> np.ndarray:
-        h = np.asarray(self.of_t(t), dtype=complex)
-        residual = float(np.max(np.abs(h - h.conj().T))) if h.size else 0.0
-        if residual > 1e-12:
-            raise HermiticityError(
-                f"H(t={t}) is not Hermitian (residual {residual:.3e} > 1e-12)"
-            )
-        return h
+    def matrix(self, t) -> np.ndarray:
+        """H(t) as (dim, dim), or as an (N, dim, dim) stack for an array of N times."""
+        times = np.asarray(t, dtype=float)
+        nodes = times.reshape(-1)
+        if self.on_times is not None:
+            h = self.on_times(nodes)
+        else:
+            h = np.array([np.asarray(self.of_t(x), dtype=complex) for x in nodes])
+            if h.shape[1:] != (self.dim, self.dim):
+                raise ValueError(f"H has shape {h.shape[1:]}, expected square {self.dim}")
+            _check_hermitian(h, lambda k: f"H(t={nodes[k]})")
+        return h.reshape(times.shape + (self.dim, self.dim))
 
 
 @dataclass(frozen=True)
@@ -264,43 +322,83 @@ class Lifting:
 # the integrator
 
 
+# evolve forms the step matrices of at most this many steps at once, which
+# bounds its transient memory whatever the step count
+BLOCK_STEPS = 64
+
+
+def _step_grid(s: float, t: float, dt: float) -> tuple[int, float]:
+    """ceil(|t - s| / dt) equal steps from s to t, so dt bounds every step taken."""
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    span = t - s
+    if span == 0:
+        return 0, 0.0
+    steps = max(1, int(np.ceil(abs(span) / dt)))
+    return steps, span / steps
+
+
+def rk4_step(apply_h, y: np.ndarray, time, step: float) -> np.ndarray:
+    """One classical RK4 step of i hbar dy/dt = apply_h(time, y) from time to time + step.
+
+    time may be an array of N step starts; apply_h then returns a stack of N
+    right-hand sides, and the step returns N results, one per start.
+    """
+
+    def rhs(at, state: np.ndarray) -> np.ndarray:
+        return (-1j / HBAR) * apply_h(at, state)
+
+    k1 = rhs(time, y)
+    k2 = rhs(time + step / 2, y + step / 2 * k1)
+    k3 = rhs(time + step / 2, y + step / 2 * k2)
+    k4 = rhs(time + step, y + step * k3)
+    return y + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
 def rk4_linear(apply_h, y0: np.ndarray, s: float, t: float, dt: float) -> np.ndarray:
     """Classical RK4 for i hbar dy/dt = apply_h(t, y) from y(s) = y0 to y(t).
 
     Takes ceil(|t - s| / dt) equal steps, so dt bounds every step taken; time
     may run forward or backward.  Returns a new array.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    steps, step = _step_grid(s, t, dt)
     y = np.array(y0, copy=True)
-    span = t - s
-    if span == 0:
-        return y
-    steps = max(1, int(np.ceil(abs(span) / dt)))
-    step = span / steps
-
-    def rhs(time: float, state: np.ndarray) -> np.ndarray:
-        return (-1j / HBAR) * apply_h(time, state)
-
-    time = s
-    for _ in range(steps):
-        k1 = rhs(time, y)
-        k2 = rhs(time + step / 2, y + step / 2 * k1)
-        k3 = rhs(time + step / 2, y + step / 2 * k2)
-        k4 = rhs(time + step, y + step * k3)
-        y = y + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        time += step
+    for n in range(steps):
+        y = rk4_step(apply_h, y, s + n * step, step)
     return y
+
+
+def _ordered_product(incs: np.ndarray) -> np.ndarray:
+    """D with I + D = (I + incs[N-1]) @ ... @ (I + incs[0]), by pairwise batched products."""
+    while len(incs) > 1:
+        pairs = len(incs) // 2 * 2
+        later, earlier = incs[1:pairs:2], incs[0:pairs:2]
+        merged = later @ earlier
+        merged += later
+        merged += earlier
+        incs = np.concatenate([merged, incs[pairs:]]) if pairs < len(incs) else merged
+    return incs[0]
 
 
 def evolve(h: HamiltonianSpec, t: float, s: float, dt: float) -> np.ndarray:
     """Time-ordered solution of i dU/dt = H(t) U, U(s,s) = I (classical RK4).
 
-    Integrates forward or backward; dt is the magnitude of the step.
+    Integrates forward or backward; dt is the magnitude of the step.  The
+    steps are those of rk4_linear, taken BLOCK_STEPS at a time.  One batched
+    rk4_step gives a block's step matrices as increments D_n = R_n - I: it
+    steps i dD/dt = H (I + D) from D = 0, the same stages as a step from
+    U = I.  Their ordered product advances U.  Never rounding I + D_n keeps
+    the roundoff to the size of one step's change, below the step loop's.
     """
-    return rk4_linear(
-        lambda time, u: h.matrix(time) @ u, np.eye(h.dim, dtype=complex), s, t, dt
-    )
+    steps, step = _step_grid(s, t, dt)
+    eye = np.eye(h.dim, dtype=complex)
+    zero = np.zeros_like(eye)
+    u = eye
+    for lo in range(0, steps, BLOCK_STEPS):
+        starts = s + step * np.arange(lo, min(lo + BLOCK_STEPS, steps))
+        incs = rk4_step(lambda time, d: h.matrix(time) @ (eye + d), zero, starts, step)
+        u = u + _ordered_product(incs) @ u
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +442,28 @@ class Transport:
         if key not in self._cache:
             self._cache[key] = evolve(self.hamiltonian, t, s, self.dt)
         return self._cache[key]
+
+    def propagate(self, times, s: float) -> np.ndarray:
+        """U(t_k, s) for each t_k in times, as an (N, dim, dim) stack.
+
+        Chains the fibre evolutions s -> times[0] -> times[1] -> ..., each
+        segment integrated once, so sorted times cost one sweep of the path.
+        The pairwise cache is neither read nor written: checks that compare
+        operator() results keep comparing independent integrations.
+        """
+        self.path.check_time(s)
+        out = np.empty((len(times), self.dim, self.dim), dtype=complex)
+        l_s = self.trivialization.matrix(s)
+        fibre, prev = np.eye(self.dim, dtype=complex), s
+        for k, t in enumerate(times):
+            self.path.check_time(t)
+            fibre = evolve(self.hamiltonian, t, prev, self.dt) @ fibre
+            prev = t
+            # U(s,s) = I exactly, as operator() gives it
+            out[k] = np.eye(self.dim) if t == s else (
+                self.trivialization.inverse(t) @ fibre @ l_s
+            )
+        return out
 
     def operator(self, t: float, s: float) -> np.ndarray:
         self.path.check_time(t)
@@ -476,18 +596,12 @@ def scenario_from_dict(data: dict) -> Scenario:
                 [_matrix_from_json(c) for c in ham_spec["coeffs"]]
             )
         elif kind == "tabulated":
-            times = np.asarray(ham_spec["times"], dtype=float)
-            mats = np.array([_matrix_from_json(m) for m in ham_spec["matrices"]])
-            # a table that interpolation would misread or extrapolate is a bad config
-            if times.ndim != 1 or len(times) != len(mats):
-                raise ValueError("tabulated hamiltonian needs exactly one matrix per time")
-            if mats.shape[1:] != (dim, dim):
-                raise ValueError(f"tabulated hamiltonian matrices must be {dim}x{dim}")
-            if not np.all(np.diff(times) > 0):
-                raise ValueError("tabulated hamiltonian times must be strictly increasing")
-            if not (times[0] <= path.t_start and times[-1] >= path.t_end):
-                raise ValueError("tabulated hamiltonian times must cover the whole path")
-            ham = HamiltonianSpec(dim, lambda t: _interp_linear(times, mats, t))
+            ham = HamiltonianSpec.tabulated(
+                ham_spec["times"],
+                [_matrix_from_json(m) for m in ham_spec["matrices"]],
+                path.t_start,
+                path.t_end,
+            )
         else:
             raise ValueError(f"unknown hamiltonian type {kind!r}")
         triv_spec = data.get("trivialization", {"type": "identity"})

@@ -9,7 +9,12 @@ from clifbundle import exact
 from clifbundle import spinor as sp
 from clifbundle.cli import main
 from clifbundle.ga import Multivector, Signature, clifford
-from clifbundle.transport import matrix_to_json, qubit_scenario_dict
+from clifbundle.transport import (
+    evolve,
+    matrix_to_json,
+    qubit_scenario_dict,
+    scenario_from_dict,
+)
 
 
 def write_scenario(tmp_path, data) -> str:
@@ -215,6 +220,57 @@ def test_transport_singular_trivialization_is_config_error(tmp_path):
     scenario = write_scenario(tmp_path, data)
     code = main(["transport", "--scenario", scenario])
     assert code == 2
+
+
+def test_transport_non_finite_trivialization_is_config_error(tmp_path):
+    data = qubit_scenario_dict()
+    data["trivialization"] = {
+        "type": "tabulated",
+        "matrices": [
+            matrix_to_json(np.eye(2)),
+            matrix_to_json(np.array([[1.0, float("nan")], [0.0, 1.0]])),
+            matrix_to_json(np.eye(2)),
+        ],
+    }
+    scenario = write_scenario(tmp_path, data)
+    assert main(["transport", "--scenario", scenario]) == 2
+
+
+def test_transport_nan_hamiltonian_is_config_error(tmp_path):
+    # a NaN entry used to pass the Hermiticity gate and reach the report as a NaN residual
+    data = qubit_scenario_dict()
+    data["hamiltonian"]["matrix"]["re"][0][1] = float("nan")
+    scenario = write_scenario(tmp_path, data)
+    out = tmp_path / "out"
+    assert main(["transport", "--scenario", scenario, "--out", str(out)]) == 2
+    assert not (out / "transport_report.json").exists()
+
+
+def test_transport_series_sweeps_tabulated_kinks(tmp_path):
+    # H has kinks at 0.4 and 0.7.  Integrated directly from 0, a row whose time
+    # lies a hair above a multiple of dt gets one step more, and a grid off the
+    # kinks: t = 0.6000000000000001 takes ceil(600.0000000000001) = 601 steps.
+    # The sweep integrates each 0.05 segment on its own.
+    rng = np.random.default_rng(5)
+    mats = []
+    for _ in range(4):
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        mats.append(2.0 * (a + a.conj().T))
+    data = qubit_scenario_dict()
+    data["hamiltonian"] = {
+        "type": "tabulated",
+        "times": [0.0, 0.4, 0.7, 1.0],
+        "matrices": [matrix_to_json(m) for m in mats],
+    }
+    scenario = write_scenario(tmp_path, data)
+    out = tmp_path / "out"
+    assert main(["transport", "--scenario", scenario, "--out", str(out)]) == 0
+    rows = np.loadtxt(out / "psi_series.csv", delimiter=",", skiprows=1)
+    ham = scenario_from_dict(data).hamiltonian
+    psi0 = np.array([1.0, 0.0], dtype=complex)
+    for row in rows:
+        psi = evolve(ham, row[0], 0.0, 1e-4) @ psi0
+        assert np.max(np.abs(row[1::2] + 1j * row[2::2] - psi)) <= 1e-9
 
 
 def _tabulated_hamiltonian(times, count):

@@ -297,6 +297,15 @@ def test_bundle_wrap_reports_singular_point(g2):
         bundle_wrap(g2, grid, l_field)
 
 
+def test_bundle_wrap_reports_non_finite_point(g2):
+    # np.linalg.cond raises LinAlgError on a NaN matrix instead of returning a number
+    grid = spacetime_grid(4)
+    l_field = np.broadcast_to(np.eye(2), grid.extents + (2, 2)).copy().astype(complex)
+    l_field[3, 1, 0, 1] = np.nan
+    with pytest.raises(ValueError, match=r"\(3, 1\)"):
+        bundle_wrap(g2, grid, l_field)
+
+
 def test_bundle_wrap_accepts_small_well_conditioned_field(g4):
     # 5e-4 I has condition number 1; its |det| = 6.25e-14 failed the old absolute gate
     grid = spacetime_grid(4)

@@ -1,4 +1,7 @@
 import math
+import pathlib
+import runpy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from clifbundle.transport import (
     matrix_bundle_hamiltonian,
     path_derivation,
     qubit_scenario_dict,
+    rk4_linear,
     scenario_from_dict,
     solve_bundle_schrodinger,
     transport_operator,
@@ -107,14 +111,110 @@ def test_evolve_fourth_order_convergence():
 
 
 def test_evolve_rejects_bad_inputs():
-    h = HamiltonianSpec.constant(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # a constant H is checked once, when the spec is built
     with pytest.raises(HermiticityError):
+        h = HamiltonianSpec.constant(np.array([[0.0, 1.0], [0.0, 0.0]]))
         evolve(h, 1.0, 0.0, 1e-2)
     good = HamiltonianSpec.constant(QUBIT_H)
     with pytest.raises(ValueError):
         evolve(good, 1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         evolve(good, 1.0, 0.0, -1e-3)
+
+
+def _hermitian(rng, dim):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return (a + a.conj().T) / 2
+
+
+SPEC_KINDS = ("constant", "polynomial", "scaled", "tabulated")
+
+
+def _spec(kind: str) -> HamiltonianSpec:
+    rng = np.random.default_rng(7)
+    h0, h1, h2 = (_hermitian(rng, 3) for _ in range(3))
+    if kind == "constant":
+        return HamiltonianSpec.constant(h0)
+    if kind == "polynomial":
+        return HamiltonianSpec.polynomial([h0, h1, h2])
+    if kind == "scaled":
+        return HamiltonianSpec.scaled(lambda t: 1.0 + 0.5 * np.sin(3.0 * t), h0)
+    # kinks at 0.3 and 0.55 fall inside a block for every step count below
+    return HamiltonianSpec.tabulated([0.0, 0.3, 0.55, 1.0], [h0, h1, h2, -h0], 0.0, 1.0)
+
+
+@pytest.mark.parametrize("steps", [1, 63, 64, 65, 1000])
+@pytest.mark.parametrize("t, s", [(1.0, 0.0), (0.0, 1.0)], ids=["forward", "backward"])
+@pytest.mark.parametrize("kind", SPEC_KINDS)
+def test_batched_evolve_matches_step_loop(kind, t, s, steps):
+    spec = _spec(kind)
+    dt = abs(t - s) / (steps - 0.5)
+    assert math.ceil(abs(t - s) / dt) == steps
+    loop = rk4_linear(
+        lambda time, y: spec.matrix(time) @ y, np.eye(spec.dim, dtype=complex), s, t, dt
+    )
+    batched = evolve(spec, t, s, dt)
+    assert np.max(np.abs(batched - loop)) <= 1e-12 * np.max(np.abs(loop))
+
+
+def test_order_study_script_fits_fourth_order(capsys):
+    # its finest step, 1.25e-3, has an error of 2e-14, so roundoff that grows
+    # with the step count (one rounding of I + D per step) bends the fit
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "transport_order_study.py"
+    runpy.run_path(str(script), run_name="__main__")
+    slope = float(capsys.readouterr().out.rsplit("fitted order:", 1)[1])
+    assert abs(slope - 4.0) <= 0.05
+
+
+def test_evolve_memory_is_bounded_by_the_block():
+    spec = HamiltonianSpec.constant(_hermitian(np.random.default_rng(1), 8))
+    evolve(spec, 0.01, 0.0, 1e-3)  # warm up numpy's first-call allocations
+    peaks = []
+    for steps in (1_000, 10_000):
+        tracemalloc.start()
+        try:
+            evolve(spec, 1.0, 0.0, 1.0 / steps)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
+
+
+def test_hermiticity_gate_is_scale_free():
+    # a Hermitian H of scale 1e5 after an orthogonal round trip; its absolute
+    # residual exceeds 1e-12, its relative residual does not
+    q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(4, 4)))
+    h = q @ np.diag([1e5, -2e4, 6e4, -8e4]) @ np.linalg.inv(q)
+    assert np.max(np.abs(h - h.conj().T)) > 1e-12
+    spec = HamiltonianSpec.constant(h)
+    assert np.array_equal(spec.matrix(0.2), h)
+    scaled = HamiltonianSpec.scaled(lambda t: 1.0 + t, h)
+    assert np.array_equal(scaled.matrix(np.array([0.0]))[0], h)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda m: HamiltonianSpec.constant(m),
+        lambda m: HamiltonianSpec.polynomial([np.eye(2), m]),
+        lambda m: HamiltonianSpec.tabulated([0.0, 1.0], [np.eye(2), m], 0.0, 1.0),
+        lambda m: HamiltonianSpec.scaled(lambda t: 1.0, m).matrix(0.5),
+    ],
+    ids=["constant", "polynomial", "tabulated", "scaled"],
+)
+def test_hermiticity_gate_rejects_nan(build):
+    # NaN > 1e-12 is false, so a gate written as "reject if residual > tol" let it pass
+    with pytest.raises(HermiticityError):
+        build(np.array([[1.0, np.nan], [np.nan, -1.0]], dtype=complex))
+
+
+def test_hamiltonian_spec_evaluates_arrays_of_times():
+    times = np.array([0.0, 0.1, 0.35, 0.9, 1.0])
+    for spec in map(_spec, SPEC_KINDS):
+        stack = spec.matrix(times)
+        assert stack.shape == (len(times), spec.dim, spec.dim)
+        for k, t in enumerate(times):
+            assert np.max(np.abs(stack[k] - spec.matrix(t))) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +296,20 @@ def test_trivialization_gates_reject_ill_conditioned_matrix():
     bad = np.diag([1e6, 1e-7])
     with pytest.raises(SingularTrivializationError, match="sample 1"):
         Trivialization.from_samples(path, [np.eye(2), bad, np.eye(2)])
+    with pytest.raises(SingularTrivializationError, match="t=0.5"):
+        Trivialization.from_time_function(2, lambda t: bad).inverse(0.5)
+
+
+def test_non_finite_trivialization_sample_is_singular():
+    # np.linalg.cond raises LinAlgError on a NaN matrix instead of returning a number
+    path = Path.line(0.0, 1.0, 3)
+    bad = np.array([[1.0, np.nan], [0.0, 1.0]])
+    with pytest.raises(SingularTrivializationError, match="sample 1"):
+        Trivialization.from_samples(path, [np.eye(2), bad, np.eye(2)])
+
+
+def test_non_finite_trivialization_inverse_is_singular():
+    bad = np.array([[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(SingularTrivializationError, match="t=0.5"):
         Trivialization.from_time_function(2, lambda t: bad).inverse(0.5)
 
@@ -285,6 +399,39 @@ def test_derivation_matches_local_coordinate_form(gauged_transport):
 def test_lifting_needs_enough_samples():
     with pytest.raises(ValueError):
         Lifting(np.array([0.0, 1.0]), np.zeros((2, 2)))
+
+
+# ---------------------------------------------------------------------------
+# one-sweep propagation
+
+
+def test_propagate_matches_pairwise_operators(gauged_transport):
+    times = np.linspace(0.0, 1.0, 11)
+    sweep = gauged_transport.propagate(times, 0.0)
+    assert np.array_equal(sweep[0], np.eye(2))
+    for k, t in enumerate(times):
+        assert np.max(np.abs(sweep[k] - gauged_transport.operator(t, 0.0))) <= 1e-12
+
+
+def test_propagate_backward_from_the_end(qubit_transport):
+    times = np.linspace(1.0, 0.0, 5)
+    sweep = qubit_transport.propagate(times, 1.0)
+    for k, t in enumerate(times):
+        assert np.max(np.abs(sweep[k] - qubit_exact(t - 1.0))) <= 1e-8
+
+
+def test_propagate_leaves_the_pairwise_cache_alone(qubit_transport):
+    # a sweep that read or filled the cache would make the cocycle check
+    # compare an integration with itself
+    qubit_transport._cache[(1.0, 0.0)] = np.zeros((2, 2), dtype=complex)
+    sweep = qubit_transport.propagate([0.5, 1.0], 0.0)
+    assert np.max(np.abs(sweep[1] - qubit_exact(1.0))) <= 1e-8
+    assert list(qubit_transport._cache) == [(1.0, 0.0)]
+
+
+def test_propagate_checks_times(qubit_transport):
+    with pytest.raises(ValueError):
+        qubit_transport.propagate([0.5, 1.5], 0.0)
 
 
 # ---------------------------------------------------------------------------
