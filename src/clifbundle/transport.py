@@ -204,22 +204,25 @@ class HamiltonianSpec:
     """Time-dependent Hermitian matrix t -> H(t).
 
     A spec built from a callable of_t(t) -> (dim, dim) is evaluated node by
-    node and checked for Hermiticity on every evaluation.  The built-in kinds
-    set `on_times` instead: it maps an array of N times to an (N, dim, dim)
-    stack without a Python loop, and their matrices are checked once, when
-    the spec is built (real-weight sums of Hermitian matrices stay Hermitian).
+    node and checked for Hermiticity on every evaluation.  The constant,
+    polynomial and tabulated kinds check their matrices once, when built
+    (real-weight sums of Hermitian matrices stay Hermitian), and set the
+    private `on_times`: it maps an array of N times to an (N, dim, dim)
+    stack without a Python loop.
     """
 
     dim: int
-    of_t: callable = field(default=None, repr=False)
-    on_times: callable = field(default=None, repr=False)
+    of_t: callable = field(repr=False)
+    on_times: callable = field(default=None, init=False, repr=False)
 
     @classmethod
     def _checked(cls, matrices: np.ndarray, on_times) -> "HamiltonianSpec":
         if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
             raise ValueError("hamiltonian matrices must be square")
         _check_hermitian(matrices, lambda k: f"hamiltonian matrix {k}")
-        return cls(matrices.shape[-1], on_times=on_times)
+        spec = cls(matrices.shape[-1], lambda t: on_times(np.array([t], dtype=float))[0])
+        object.__setattr__(spec, "on_times", on_times)
+        return spec
 
     @classmethod
     def zero(cls, dim: int) -> "HamiltonianSpec":
@@ -453,27 +456,25 @@ class Transport:
         """
         self.path.check_time(s)
         out = np.empty((len(times), self.dim, self.dim), dtype=complex)
-        l_s = self.trivialization.matrix(s)
         fibre, prev = np.eye(self.dim, dtype=complex), s
         for k, t in enumerate(times):
             self.path.check_time(t)
             fibre = evolve(self.hamiltonian, t, prev, self.dt) @ fibre
             prev = t
-            # U(s,s) = I exactly, as operator() gives it
-            out[k] = np.eye(self.dim) if t == s else (
-                self.trivialization.inverse(t) @ fibre @ l_s
-            )
+            out[k] = self._conjugate(t, s, fibre)
         return out
 
     def operator(self, t: float, s: float) -> np.ndarray:
         self.path.check_time(t)
         self.path.check_time(s)
+        return self._conjugate(t, s, self.fibre_evolution(t, s))
+
+    def _conjugate(self, t: float, s: float, fibre: np.ndarray) -> np.ndarray:
+        """l(t)^-1 @ fibre @ l(s), the transport of the fibre evolution E(t,s)."""
         if t == s:
             # U(t,t) = I holds exactly, not just to inversion roundoff
             return np.eye(self.dim, dtype=complex)
-        l_t_inv = self.trivialization.inverse(t)
-        l_s = self.trivialization.matrix(s)
-        return l_t_inv @ self.fibre_evolution(t, s) @ l_s
+        return self.trivialization.inverse(t) @ fibre @ self.trivialization.matrix(s)
 
     # -- diagnostics --------------------------------------------------------
 
