@@ -29,13 +29,17 @@ RUNS = [
     ["verify"],
     ["verify", "--signature", "3,1", "--signature", "1,3", "--signature", "2,2"],
     ["spinor-rep", "--signature", "3,1"],
+    # division algebra H: f = 1, the whole algebra is the minimal ideal
+    ["spinor-rep", "--signature", "0,2"],
     ["spinor-rep", "--signature", "0,3"],
     ["spinor-rep", "--signature", "1,3"],
     ["spinor-rep", "--signature", "4,1"],
     # real M_8(R); the search note lists the redundant factor e124 = e1 e24
     ["spinor-rep", "--signature", "3,3"],
-    # quaternionic M_4(H): exhaustive search, 16-dimensional ideal
+    # quaternionic M_4(H): 16-dimensional ideal, above the old 2^(n/2) stop
     ["spinor-rep", "--signature", "2,4"],
+    # 2 x M_4(H): the old stop rule searched all products, the new one stops at 16
+    ["spinor-rep", "--signature", "2,5"],
     ["transport", "--scenario", "scenarios/qubit.json"],
     ["transport", "--scenario", "scenarios/qubit_gauged.json"],
     ["dirac", "--scenario", "dispersion"],

@@ -38,6 +38,7 @@ from .spinor import (
     SigmaSet,
     find_primitive_idempotent,
     gamma_set_for_signature,
+    minimal_ideal_dimension,
     minimal_left_ideal,
     orthogonalize_gammas,
     regular_rep,
@@ -45,6 +46,7 @@ from .spinor import (
     spinor_cov_deriv,
     spinor_lie_deriv,
     spinor_rep_matrices,
+    spinor_representation,
     verify_iso_table,
 )
 from .transport import (

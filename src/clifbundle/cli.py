@@ -19,7 +19,7 @@ import csv
 import json
 import sys
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -159,16 +159,14 @@ def cmd_spinor_rep(args) -> int:
         command="spinor-rep",
         config={"signature": f"{sig.p},{sig.q}", "seed": args.seed},
     )
-    metric = sig.metric()
-    idem = sp.find_primitive_idempotent(sig)
+    idem, gamma_set = sp.spinor_representation(sig)
+    f = idem.idempotent
     report.add_bool(
         "idempotent-search",
-        idem.whole_algebra or clifford(idem.idempotent, idem.idempotent, metric) == idem.idempotent,
+        clifford(f, f, sig.metric()) == f,
         relation="f f = f for the primitive idempotent",
         details=idem.note,
     )
-    basis = sp._ideal_basis(idem, metric)
-    gamma_set = sp.spinor_rep_matrices(basis, metric, sig)
     # matrices of a basis that is not a left ideal represent nothing
     closed = gamma_set.closure_failures == 0
     report.add(
@@ -177,7 +175,7 @@ def cmd_spinor_rep(args) -> int:
             "division algebra: the whole algebra is the minimal ideal" if idem.whole_algebra
             else "v (ideal) lies inside the ideal for every basis vector v"
         ),
-        details=f"ideal dimension {len(basis)}",
+        details=f"ideal dimension {gamma_set.dim}",
     )
     residual = gamma_set.anticommutator_residuals()
     report.add(
@@ -255,8 +253,8 @@ def cmd_transport(args) -> int:
         relation="U(t,s) U(s,r) = U(t,r)",
     )
     report.add(
-        "identity", transport.identity_residual(times[2]), tols["cocycle"],
-        relation="U(t,t) = I",
+        "round-trip", transport.round_trip_residual(times[3], times[1]), tols["cocycle"],
+        relation="U(s,t) U(t,s) = I",
     )
     report.add(
         "unitarity", transport.unitarity_residual(t1, t0), tols["unitarity"],
@@ -351,12 +349,16 @@ def _grid_from_args(args, default_extents, default_length=2 * np.pi) -> fl.Grid:
         spacing = tuple(default_length / n for n in extents)
     if len(spacing) != len(extents):
         raise UsageError("--spacing must have one entry or one per axis")
-    sites = int(np.prod(extents))
+    _check_grid_sites(extents)
+    return fl.Grid(extents, spacing)
+
+
+def _check_grid_sites(extents) -> None:
+    sites = prod(extents)
     if sites > MAX_GRID_SITES:
         raise UsageError(
             f"grid has {sites} sites, above the memory budget of {MAX_GRID_SITES}"
         )
-    return fl.Grid(extents, spacing)
 
 
 def _dirac_dispersion(args, report: Report, tols: dict) -> None:
@@ -430,6 +432,7 @@ def _dirac_dalembert(args, report: Report, tols: dict) -> None:
     base = args.grid or "64,64"
     extents = tuple(int(x) for x in base.split(","))
     refinements = max(1, args.refine)
+    _check_grid_sites(tuple(n * 2**refinements for n in extents))
     errors = []
     for level in range(refinements + 1):
         ext = tuple(n * 2**level for n in extents)

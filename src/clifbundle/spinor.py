@@ -1,15 +1,17 @@
 """Spinor representations of Cl(p,q) via minimal left ideals.
 
-The regular representation acts on the 2^n blade basis.  Primitive
-idempotents are searched as products of commuting basis blades squaring
-to +1; the left ideal they generate carries the irreducible (spinor)
-representation.  Its basis is in reduced row echelon form, so the gamma
-matrices are read off, not solved for: the coordinates of e^mu w are its
-entries at the basis' pivot masks, and each image is confirmed by exact
-reconstruction, which also proves the ideal closed.  Each GammaSet forms
-its products g^mu g^nu once, for the anticommutator and sigma checks.
-Everything in this module runs over Fractions so that the defining
-anticommutation relations are checked as equalities.
+The regular representation acts on the 2^n blade basis.  A depth-first
+search multiplies factors (1 +- e_A)/2 of commuting +1-square blades and
+stops at the classified minimal ideal dimension; C and H keep f = 1.  It
+never squares f (commuting idempotents multiply to idempotents), so a
+caller's f f = f check tests it.  spinor_representation runs search ->
+left ideal Cl f -> gammas.  The ideal's basis is in reduced row echelon
+form, so the gamma matrices are read off, not solved for: the coordinates
+of e^mu w are its entries at the basis' pivot masks, and each image is
+confirmed by exact reconstruction, which also proves the ideal closed.
+Each GammaSet forms its products g^mu g^nu once, for the anticommutator and
+sigma checks.  Everything in this module runs over Fractions so that the
+defining anticommutation relations are checked as equalities.
 """
 
 from __future__ import annotations
@@ -98,10 +100,13 @@ class IdempotentReport:
     """Outcome of the primitive-idempotent search for one signature."""
 
     signature: Signature
-    idempotent: Multivector | None
+    idempotent: Multivector
     ideal_dimension: int
     factors: tuple = ()
-    whole_algebra: bool = False
+
+    @property
+    def whole_algebra(self) -> bool:
+        return self.ideal_dimension == 1 << self.signature.n
 
     @property
     def note(self) -> str:
@@ -114,46 +119,31 @@ class IdempotentReport:
         return f"idempotent {labels}, ideal dimension {self.ideal_dimension}"
 
 
-def _ideal_dimension_of_idempotent(f: Multivector) -> int:
-    # Right multiplication by an idempotent is an idempotent operator, so its
-    # rank equals its trace, and only the scalar part of f contributes.
-    return int(Fraction(f.coeff(0)) * (1 << f.n))
+# Radon-Hurwitz numbers r_0 .. r_7; r_{i+8} = r_i + 4 for every integer i
+RADON_HURWITZ = (0, 1, 2, 2, 3, 3, 3, 3)
 
 
-class _SearchDone(Exception):
-    pass
+def minimal_ideal_dimension(sig: Signature) -> int:
+    """Real dimension 2^(n-k) of a minimal left ideal, k = q - r_{q-p} (Lounesto, ch. 17)."""
+    i = sig.q - sig.p
+    return 1 << (sig.n - sig.q + RADON_HURWITZ[i % 8] + 4 * (i // 8))
 
 
 def find_primitive_idempotent(sig: Signature) -> IdempotentReport:
-    """Search products of commuting +1-square blades for a minimal-ideal generator."""
+    """First idempotent of the depth-first search whose ideal has minimal dimension.
+
+    Walks the products of commuting factors (1 +- e_A)/2, e_A squaring to +1,
+    in ascending mask order with sign + before -, keeps the smallest ideal
+    seen and stops at minimal_ideal_dimension.  It starts from f = 1, the
+    answer for C and H, which have no +1-square blade.
+    """
     metric = sig.metric()
     n = sig.n
-    diag = sig.diag
     one = Multivector.scalar(Fraction(1), n)
-    candidates = [
-        m for m in range(1, 1 << n) if blade_square_sign(m, diag) == 1
-    ]
+    candidates = [m for m in range(1, 1 << n) if blade_square_sign(m, sig.diag) == 1]
     k_max = n // 2 + 1
-    # every minimal ideal of Cl(p,q) has dimension >= 2^floor(n/2): the
-    # algebra is M_m(D) or two copies of it with m^2 dim(D) (or twice that)
-    # equal to 2^n, and the ideal carries m * dim(D) >= sqrt(2^(n-1)) reals
-    dim_floor = 1 << (n // 2)
 
-    best: tuple[int, Multivector, tuple] | None = None
-
-    def consider(f: Multivector, factors: tuple):
-        nonlocal best
-        if f.is_zero() or f == one:
-            return
-        if clifford(f, f, metric) != f:
-            return
-        dim = _ideal_dimension_of_idempotent(f)
-        if best is None or dim < best[0]:
-            best = (dim, f, factors)
-            if dim <= dim_floor:
-                raise _SearchDone
-
-    def extend(f: Multivector, factors: tuple, start: int):
+    def walk(f: Multivector, factors: tuple, start: int):
         if len(factors) >= k_max:
             return
         for idx in range(start, len(candidates)):
@@ -161,20 +151,22 @@ def find_primitive_idempotent(sig: Signature) -> IdempotentReport:
             if not all(blades_commute(mask, m) for m, _ in factors):
                 continue
             for sign in (1, -1):
-                factor = (one + Multivector(n, {mask: Fraction(sign)})) * HALF
-                g = clifford(f, factor, metric)
-                consider(g, factors + ((mask, sign),))
-                extend(g, factors + ((mask, sign),), idx + 1)
+                g = clifford(f, (one + Multivector(n, {mask: Fraction(sign)})) * HALF, metric)
+                if not g.is_zero():  # every extension of 0 is 0
+                    yield g, factors + ((mask, sign),)
+                    yield from walk(g, factors + ((mask, sign),), idx + 1)
 
-    try:
-        extend(one, (), 0)
-    except _SearchDone:
-        pass
-
-    if best is None:
-        return IdempotentReport(sig, None, 1 << n, whole_algebra=True)
-    dim, f, factors = best
-    return IdempotentReport(sig, f, dim, factors=factors)
+    target = minimal_ideal_dimension(sig)
+    best = IdempotentReport(sig, one, 1 << n)
+    for f, factors in walk(one, (), 0):
+        # right multiplication by an idempotent f is a projection, so the
+        # ideal's dimension is its trace, 2^n times the scalar part of f
+        dim = int(Fraction(f.coeff(0)) * (1 << n))
+        if dim < best.ideal_dimension:
+            best = IdempotentReport(sig, f, dim, factors)
+            if dim <= target:
+                break
+    return best
 
 
 def minimal_left_ideal(f: Multivector, metric: Metric) -> list[Multivector]:
@@ -283,18 +275,20 @@ def spinor_rep_matrices(
     )
 
 
-def _ideal_basis(report: IdempotentReport, metric: Metric) -> list[Multivector]:
-    """Basis of the minimal left ideal a search report names (the whole algebra if none)."""
-    n = report.signature.n
-    if report.whole_algebra:
-        return [Multivector(n, {m: Fraction(1)}) for m in range(1 << n)]
-    return minimal_left_ideal(report.idempotent, metric)
+def spinor_representation(sig: Signature) -> tuple[IdempotentReport, GammaSet]:
+    """Idempotent search -> minimal left ideal -> gammas read off at its pivots.
+
+    The gammas represent the algebra only if ``closure_failures == 0``.
+    """
+    metric = sig.metric()
+    report = find_primitive_idempotent(sig)
+    basis = minimal_left_ideal(report.idempotent, metric)
+    return report, spinor_rep_matrices(basis, metric, sig)
 
 
 def gamma_set_for_signature(sig: Signature) -> GammaSet:
-    """Idempotent search -> minimal ideal -> extracted gamma matrices."""
-    metric = sig.metric()
-    gs = spinor_rep_matrices(_ideal_basis(find_primitive_idempotent(sig), metric), metric, sig)
+    """The gammas of spinor_representation; raises ClosureError if they represent nothing."""
+    gs = spinor_representation(sig)[1]
     if gs.closure_failures:
         raise ClosureError(f"{gs.closure_failures} images e^mu w leave the ideal of {sig}")
     return gs
@@ -311,11 +305,6 @@ def algebra_span_dimension(gamma_set: GammaSet) -> int:
             mat = mat @ gamma_set.gammas[i - 1]
         rows.append(np.ravel(mat))
     return exact.rank(np.stack(rows, axis=0))
-
-
-def unit_character(gamma_set: GammaSet):
-    """Trace of the represented unit element (= representation dimension)."""
-    return sum(exact.identity(gamma_set.dim)[i, i] for i in range(gamma_set.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -452,17 +441,15 @@ def _matrix_algebra_check(sig: Signature, expected_ideal_dim: int) -> list[Check
             details=f"dim Cl = {algebra_dim}, dim M_{expected_ideal_dim}(R) = {matrix_dim}",
         )
     )
-    report = find_primitive_idempotent(sig)
+    report, gamma_set = spinor_representation(sig)
     rows.append(
         Check.boolean(
             f"{name}-minimal-ideal",
-            (not report.whole_algebra) and report.ideal_dimension == expected_ideal_dim,
+            report.ideal_dimension == expected_ideal_dim,
             f"minimal left ideal of {sig} has dimension {expected_ideal_dim}",
             details=report.note,
         )
     )
-    metric = sig.metric()
-    gamma_set = spinor_rep_matrices(_ideal_basis(report, metric), metric, sig)
     # matrices of a basis that is not a left ideal represent nothing
     closed = gamma_set.closure_failures == 0
     residual = gamma_set.anticommutator_residuals()
@@ -489,11 +476,10 @@ def _matrix_algebra_check(sig: Signature, expected_ideal_dim: int) -> list[Check
 
 def _division_algebra_check(sig: Signature, algebra_name: str) -> list[Check]:
     report = find_primitive_idempotent(sig)
-    dim_ok = report.whole_algebra and report.ideal_dimension == (1 << sig.n)
     return [
         Check.boolean(
             f"cl{sig.p}{sig.q}-division-algebra",
-            dim_ok,
+            report.whole_algebra,
             f"{sig} is a division algebra ({algebra_name}): minimal ideal is the whole algebra",
             details=report.note,
         )
@@ -565,7 +551,7 @@ def verify_iso_table(signatures=None) -> list[Check]:
             extra_rows.append(
                 Check.boolean(
                     "cl13-quaternionic-ideal",
-                    (not report.whole_algebra) and report.ideal_dimension == 8,
+                    report.ideal_dimension == 8,
                     "Cl(1,3) = H(2): minimal ideal has real dimension 8",
                     details=report.note,
                 )

@@ -471,9 +471,6 @@ class Transport:
 
     def _conjugate(self, t: float, s: float, fibre: np.ndarray) -> np.ndarray:
         """l(t)^-1 @ fibre @ l(s), the transport of the fibre evolution E(t,s)."""
-        if t == s:
-            # U(t,t) = I holds exactly, not just to inversion roundoff
-            return np.eye(self.dim, dtype=complex)
         return self.trivialization.inverse(t) @ fibre @ self.trivialization.matrix(s)
 
     # -- diagnostics --------------------------------------------------------
@@ -483,8 +480,9 @@ class Transport:
         rhs = self.operator(t, r)
         return float(np.max(np.abs(lhs - rhs)))
 
-    def identity_residual(self, t: float) -> float:
-        return float(np.max(np.abs(self.operator(t, t) - np.eye(self.dim))))
+    def round_trip_residual(self, t: float, s: float) -> float:
+        """|U(s,t) U(t,s) - I|: the two factors integrate in opposite directions."""
+        return float(np.max(np.abs(self.operator(s, t) @ self.operator(t, s) - np.eye(self.dim))))
 
     def unitarity_residual(self, t: float, s: float) -> float:
         """Defect of unitarity in the l-conjugated inner product."""

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from clifbundle import exact
+from clifbundle import cli, exact
 from clifbundle import spinor as sp
 from clifbundle.cli import main
 from clifbundle.ga import Multivector, Signature, clifford
@@ -392,6 +392,15 @@ def test_relation_tags_present_everywhere(tmp_path):
 
 def test_dirac_grid_memory_budget_enforced():
     assert main(["dirac", "--scenario", "hermiticity", "--grid", "4096,4096"]) == 2
+    # 2^64 sites, which an int64 product wraps to 0
+    assert main(["dirac", "--scenario", "hermiticity", "--grid", "4294967296,4294967296"]) == 2
+
+
+def test_dirac_dalembert_grid_memory_budget_covers_the_finest_level(monkeypatch):
+    # 16x16 fits, but the second refinement runs on 64x64
+    monkeypatch.setattr(cli, "MAX_GRID_SITES", 1000)
+    argv = ["dirac", "--scenario", "dalembert", "--grid", "16,16", "--refine", "2"]
+    assert main(argv) == 2
 
 
 def test_transport_gauged_scenario(tmp_path):

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from clifbundle import exact, spinor
-from clifbundle.ga import Metric, Multivector, Signature, basis_blades, clifford
+from clifbundle.ga import Metric, Multivector, Signature, basis_blades, clifford, mask_indices
 from clifbundle.spinor import (
     ClosureError,
-    _ideal_basis,
     algebra_span_dimension,
     blade_square_sign,
     blades_commute,
     find_primitive_idempotent,
     gamma_set_for_signature,
+    minimal_ideal_dimension,
     minimal_left_ideal,
     multivector_coords,
     orthogonalize_gammas,
@@ -21,7 +21,6 @@ from clifbundle.spinor import (
     spinor_cov_deriv,
     spinor_lie_deriv,
     spinor_rep_matrices,
-    unit_character,
     verify_iso_table,
 )
 
@@ -103,6 +102,21 @@ def test_minimal_ideal_dimensions(p, q, expected_dim, whole):
     report = find_primitive_idempotent(Signature(p, q))
     assert report.whole_algebra == whole
     assert report.ideal_dimension == expected_dim
+    # the division algebras C and H keep f = 1, whose ideal is everything
+    assert (report.idempotent == Multivector.scalar(F(1), p + q)) == whole
+
+
+def test_search_stops_where_an_exhaustive_search_ends(monkeypatch):
+    # with the stop rule disabled the walk visits every product; it must find
+    # no smaller ideal, and keep the same first minimal idempotent
+    signatures = [Signature(p, n - p) for n in range(1, 6) for p in range(n + 1)]
+    stopped = {sig: find_primitive_idempotent(sig) for sig in signatures}
+    classified = {sig: minimal_ideal_dimension(sig) for sig in signatures}
+    monkeypatch.setattr(spinor, "minimal_ideal_dimension", lambda sig: 0)
+    for sig in signatures:
+        exhaustive = find_primitive_idempotent(sig)
+        assert exhaustive == stopped[sig], sig
+        assert exhaustive.ideal_dimension == classified[sig], sig
 
 
 def test_cl01_has_no_nontrivial_idempotent_by_direct_solve():
@@ -193,7 +207,8 @@ def test_restriction_of_unit_is_identity():
 
 
 def test_different_idempotents_give_equivalent_size_reps():
-    # weak equivalence: equal dimension and equal character on the unit
+    # equivalent representations have equal characters: compare the traces
+    # of the represented blades e_A = e_a1 ... e_ak, for every A
     sig = Signature(1, 1)
     metric = sig.metric()
     one = Multivector.scalar(F(1), 2)
@@ -206,7 +221,15 @@ def test_different_idempotents_give_equivalent_size_reps():
         basis = minimal_left_ideal(f, metric)
         reps.append(spinor_rep_matrices(basis, metric, sig))
     assert reps[0].dim == reps[1].dim
-    assert unit_character(reps[0]) == unit_character(reps[1])
+    traces = []
+    for rep in reps:
+        traces.append([])
+        for mask in basis_blades(2):
+            mat = frac_eye(rep.dim)
+            for i in mask_indices(mask):
+                mat = mat @ rep.gammas[i - 1]
+            traces[-1].append(sum(mat[k, k] for k in range(rep.dim)))
+    assert traces[0] == traces[1] == [2, 0, 0, 0]
 
 
 def test_gamma_relations_exact_across_signatures():
@@ -420,7 +443,7 @@ def test_pivot_read_off_matches_elimination(p, q):
     # span @ x = e^mu w that elimination over [span | images] finds
     sig = Signature(p, q)
     metric = sig.metric()
-    basis = _ideal_basis(find_primitive_idempotent(sig), metric)
+    basis = minimal_left_ideal(find_primitive_idempotent(sig).idempotent, metric)
     gs = spinor_rep_matrices(basis, metric, sig)
     assert gs.closure_failures == 0
     m = len(basis)

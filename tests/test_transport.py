@@ -239,7 +239,7 @@ def test_identity_trivialization_gives_plain_evolution(qubit_transport):
 
 
 def test_transport_identity_and_cocycle(gauged_transport):
-    assert gauged_transport.identity_residual(0.5) == 0.0
+    assert gauged_transport.round_trip_residual(0.9, 0.2) <= 1e-8
     for (t, s, r) in [(1.0, 0.5, 0.0), (0.9, 0.3, 0.1), (0.2, 0.7, 1.0)]:
         assert gauged_transport.cocycle_residual(t, s, r) <= 1e-8
 
