@@ -130,7 +130,7 @@ def minimal_ideal_dimension(sig: Signature) -> int:
 
 
 def find_primitive_idempotent(sig: Signature) -> IdempotentReport:
-    """First idempotent of the depth-first search whose ideal has minimal dimension.
+    """First product of the depth-first search whose left ideal has minimal dimension.
 
     Walks the products of commuting factors (1 +- e_A)/2, e_A squaring to +1,
     in ascending mask order with sign + before -, keeps the smallest ideal
