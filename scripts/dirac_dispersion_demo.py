@@ -15,7 +15,7 @@ def measured_energy(grid, gset, mode, mass, t=0.3, dt=1e-3):
     # t is short enough that the extracted phase stays below pi for all modes
     k = grid.wavenumber(0, mode)
     klat = np.sin(k * grid.spacing[0]) / grid.spacing[0]
-    hmat = gset.gamma0 @ gset.gamma(1) * klat + mass * gset.gamma0
+    hmat = gset.gamma0_products[1] * klat + mass * gset.gamma0
     evals, evecs = np.linalg.eigh(hmat)
     u = evecs[:, int(np.argmax(evals))]
     psi0 = SpinorField.plane_wave(grid, (k,), u)

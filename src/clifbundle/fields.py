@@ -1,8 +1,11 @@
 """Flat-grid Dirac/Klein-Gordon operators and spin-vector constructions.
 
 Fields are complex arrays on uniform periodic grids; spatial derivatives
-are second-order central differences (np.roll), time stepping calls the
-transport module's RK4 stepper (transport.rk4_linear).  The Minkowski gamma
+are second-order central differences (np.roll).  Time stepping is the
+transport module's RK4 scheme: transport.rk4_linear steps the whole grid,
+and a Dirac field whose coupling e A is the same at every site is stepped
+one Fourier mode at a time instead (_evolve_modes), with each mode's RK4
+step matrix raised to the number of steps.  The Minkowski gamma
 sets are manufactured from the exact algebra-level representations: the
 1+1 case uses the Cl(1,1) matrices directly, the 3+1 case rescales the
 orthogonalized Cl(3,1) set so the metric becomes diag(+1,-1,-1,-1) with
@@ -16,8 +19,10 @@ single-mode fields where the spurious branch is not excited.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +34,7 @@ from .spinor import (
     gamma_set_for_signature,
     orthogonalize_gammas,
 )
-from .transport import rk4_linear
+from .transport import _step_grid, rk4_linear, rk4_step
 
 
 class GridError(ValueError):
@@ -75,7 +80,7 @@ class Grid:
 
     @property
     def volume(self) -> int:
-        return int(np.prod(self.extents))
+        return math.prod(self.extents)
 
     @property
     def cell_volume(self) -> float:
@@ -228,14 +233,18 @@ class FieldGammaSet:
     def gamma0(self) -> np.ndarray:
         return self.gammas[0]
 
+    @cached_property
+    def gamma0_products(self) -> list:
+        """gamma0 @ gamma^mu for each mu; the alpha matrices of H_D for mu >= 1."""
+        return [self.gamma0 @ g for g in self.gammas]
+
     def anticommutator_residual(self) -> float:
         return anticommutator_residual(gamma_products(self.gammas), self.eta)
 
     def hermiticity_residual(self) -> float:
         """gamma0 and gamma0 @ gamma^mu must all be Hermitian."""
         worst = 0.0
-        for mu in range(self.spacetime_dim):
-            m = self.gamma0 @ self.gammas[mu]
+        for m in self.gamma0_products:
             worst = max(worst, float(np.max(np.abs(m - m.conj().T))))
         worst = max(worst, float(np.max(np.abs(self.gamma0 - self.gamma0.conj().T))))
         return worst
@@ -505,13 +514,55 @@ def dirac_hamiltonian(
     isolating i d_t; spatial axis j of the grid carries spacetime index j+1.
     """
     out = charge * pot.a[0] * psi_comp
-    g0 = gset.gamma0
-    out = out + mass * _apply_matrix(g0, psi_comp)
+    out = out + mass * _apply_matrix(gset.gamma0, psi_comp)
     for j in range(grid.dims):
         dj = central_diff(psi_comp, j + 1, grid.spacing[j])
         term = -1j * dj + charge * pot.a[j + 1] * psi_comp
-        out = out + _apply_matrix(g0 @ gset.gamma(j + 1), term)
+        out = out + _apply_matrix(gset.gamma0_products[j + 1], term)
     return out
+
+
+# Fourier modes stepped per batch of _evolve_modes; bounds its transient memory
+MODE_BLOCK = 4096
+
+
+def _mode_symbol(apply_h, m: int, grid: Grid) -> np.ndarray:
+    """Columns of the symbol H(k) of a translation-invariant apply_h, shape (m, m, *extents).
+
+    Entry [b, a, k] is H(k)[a, b]: column b is the FFT of apply_h's response
+    to a unit impulse in spinor component b at the origin, so the symbol is
+    read from the operator.  Each impulse is built in the slot its column
+    then overwrites, which keeps the peak memory below the step loop's.
+    """
+    axes = tuple(range(1, grid.dims + 1))
+    columns = np.zeros((m, m) + grid.extents, dtype=complex)
+    for b in range(m):
+        columns[(b, b) + (0,) * grid.dims] = 1.0
+        columns[b] = np.fft.fftn(apply_h(0.0, columns[b]), axes=axes)
+    return columns
+
+
+def _evolve_modes(apply_h, comp: np.ndarray, grid: Grid, t: float, dt: float) -> np.ndarray:
+    """rk4_linear(apply_h, comp, 0, t, dt) for a translation-invariant apply_h.
+
+    Fourier modes do not mix, so the steps act on mode k as R(k)^N, with
+    R(k) the RK4 step matrix of the symbol H(k) and N the step count of
+    rk4_linear.  Meant for a Hermitian H(k), whose R(k) is normal; for a
+    non-normal R(k) the roundoff of the power grows with ||R(k)||, which
+    is why klein_gordon_evolve keeps rk4_linear.
+    """
+    steps, step = _step_grid(0.0, t, dt)
+    m = comp.shape[0]
+    axes = tuple(range(1, grid.dims + 1))
+    columns = _mode_symbol(apply_h, m, grid).reshape(m, m, -1)
+    modes = np.fft.fftn(comp, axes=axes).reshape(m, -1)
+    eye = np.eye(m, dtype=complex)
+    for lo in range(0, grid.volume, MODE_BLOCK):
+        h_k = columns[:, :, lo:lo + MODE_BLOCK].transpose(2, 1, 0)
+        r_k = rk4_step(lambda _, y: h_k @ y, eye, 0.0, step)
+        block = modes[:, lo:lo + MODE_BLOCK].T[:, :, None]
+        modes[:, lo:lo + MODE_BLOCK] = (np.linalg.matrix_power(r_k, steps) @ block)[:, :, 0].T
+    return np.fft.ifftn(modes.reshape(comp.shape), axes=axes)
 
 
 def dirac_hamiltonian_evolve(
@@ -523,7 +574,12 @@ def dirac_hamiltonian_evolve(
     dt: float,
     gset: FieldGammaSet,
 ) -> SpinorField:
-    """Integrate i d_t psi = H_D psi on a spatial grid up to time t."""
+    """Integrate i d_t psi = H_D psi on a spatial grid up to time t.
+
+    When charge * A is the same at every site, H_D is translation-invariant
+    and the RK4 steps run one Fourier mode at a time (_evolve_modes);
+    otherwise rk4_linear steps the whole grid.  Both take the same steps.
+    """
     grid = psi0.grid
     grid.require_periodic("dirac_hamiltonian_evolve")
     if grid.dims != gset.spacetime_dim - 1:
@@ -540,10 +596,15 @@ def dirac_hamiltonian_evolve(
             )
         pot_a[:] = pot.a
     pot_full = EMPotential(grid, pot_a)
-    comp = rk4_linear(
-        lambda time, y: dirac_hamiltonian(y, grid, pot_full, mass, charge, gset),
-        psi0.components, 0.0, t, dt,
-    )
+
+    def apply_h(time, y):
+        return dirac_hamiltonian(y, grid, pot_full, mass, charge, gset)
+
+    coupling = (charge * pot_a).reshape(len(pot_a), -1)
+    if np.all(coupling == coupling[:, :1]):
+        comp = _evolve_modes(apply_h, psi0.components, grid, t, dt)
+    else:
+        comp = rk4_linear(apply_h, psi0.components, 0.0, t, dt)
     return SpinorField(grid, comp)
 
 

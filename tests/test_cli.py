@@ -390,6 +390,13 @@ def test_relation_tags_present_everywhere(tmp_path):
     assert all(c["relation"] for c in report["checks"])
 
 
+def test_dirac_dalembert_rejects_spacing():
+    # the levels fix their own spacings; equal ones put the test mode on the light cone
+    argv = ["dirac", "--scenario", "dalembert", "--grid", "16,16", "--refine", "1"]
+    assert main(argv + ["--spacing", "0.5"]) == 2
+    assert main(argv) == 0
+
+
 def test_dirac_grid_memory_budget_enforced():
     assert main(["dirac", "--scenario", "hermiticity", "--grid", "4096,4096"]) == 2
     # 2^64 sites, which an int64 product wraps to 0

@@ -1,8 +1,10 @@
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from clifbundle import fields
 from clifbundle.fields import (
     AffineConnection,
     EMPotential,
@@ -15,6 +17,7 @@ from clifbundle.fields import (
     bundle_wrap,
     central_diff,
     dalembert_identity,
+    dirac_hamiltonian,
     dirac_hamiltonian_evolve,
     dirac_pairing,
     dirac_slash,
@@ -36,6 +39,7 @@ from clifbundle.fields import (
 )
 from clifbundle.ga import Signature
 from clifbundle.spinor import gamma_set_for_signature
+from clifbundle.transport import rk4_linear
 
 L = 2 * np.pi
 
@@ -102,6 +106,18 @@ def test_grid_validation():
         Grid((8,), (-0.1,))
     with pytest.raises(GridError):
         Grid((8, 8), (0.1,))
+
+
+def test_grid_volume_does_not_wrap():
+    # 2^64 sites, which an int64 product wraps to 0
+    assert Grid((2**32, 2**32), (1.0, 1.0)).volume == 2**64
+
+
+def test_gamma0_products_are_formed_once(g4):
+    products = g4.gamma0_products
+    assert g4.gamma0_products is products
+    for mu in range(4):
+        assert np.array_equal(products[mu], g4.gamma0 @ g4.gamma(mu))
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +405,14 @@ def test_cfl_bound_enforced(g2):
         dirac_hamiltonian_evolve(psi, None, 1.0, 0.0, 1.0, 0.1, g2)
 
 
+def test_cfl_bound_enforced_on_the_step_loop(g2):
+    # a site-dependent coupling takes rk4_linear; no potential (above) takes the per-mode path
+    grid = Grid((16,), (0.1,))
+    psi = SpinorField(grid, np.ones((2, 16), dtype=complex))
+    with pytest.raises(StabilityError):
+        dirac_hamiltonian_evolve(psi, one_site_potential(grid, 2), 1.0, 0.5, 1.0, 0.1, g2)
+
+
 @pytest.mark.parametrize("case", ["ceil-steps", "backward-roundtrip", "dt-zero", "dt-negative"])
 @pytest.mark.parametrize("equation", ["dirac", "klein-gordon"])
 def test_step_rule_bounds_every_step(g2, equation, case):
@@ -413,6 +437,102 @@ def test_step_rule_bounds_every_step(g2, equation, case):
     else:
         with pytest.raises(ValueError):
             run(psi0, 1.0, 0.0 if case == "dt-zero" else -bound)
+
+
+def one_site_potential(grid: Grid, n_components: int) -> EMPotential:
+    a = np.zeros((n_components,) + grid.extents)
+    a[(1,) + (0,) * grid.dims] = 0.2
+    return EMPotential(grid, a)
+
+
+def random_spinor(grid: Grid, m: int, seed: int) -> SpinorField:
+    rng = np.random.default_rng(seed)
+    shape = (m,) + grid.extents
+    return SpinorField(grid, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+
+@pytest.mark.parametrize(
+    "extents, t, charge, a_const",
+    [
+        ((64,), 0.05, 0.0, None),
+        ((15,), -0.04, 0.0, None),
+        ((15,), 0.03, 0.7, (0.4, -1.1)),
+        ((7, 6, 5), 0.02, 0.0, None),
+        ((7, 6, 5), -0.02, 0.5, (0.3, -0.2, 0.6, 0.1)),
+    ],
+)
+def test_per_mode_path_matches_the_step_loop(extents, t, charge, a_const):
+    grid = Grid(extents, tuple(L / n for n in extents))
+    gset = minkowski_gamma_set(grid.dims + 1)
+    psi0 = random_spinor(grid, gset.spinor_dim, seed=sum(extents))
+    ncomp = gset.spacetime_dim
+    a = np.zeros((ncomp,) + grid.extents)
+    if a_const is not None:
+        a += np.reshape(a_const, (ncomp,) + (1,) * grid.dims)
+    pot = EMPotential(grid, a)
+    dt = 1e-3
+    ref = rk4_linear(
+        lambda _, y: dirac_hamiltonian(y, grid, pot, 1.0, charge, gset),
+        psi0.components, 0.0, t, dt,
+    )
+    got = dirac_hamiltonian_evolve(psi0, pot, 1.0, charge, t, dt, gset).components
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_mode_symbol_is_the_lattice_dirac_symbol(g4):
+    grid = Grid((7, 6, 5), (0.3, 0.25, 0.2))
+    mass = 1.3
+    pot = EMPotential.zero(grid, 4)
+    columns = fields._mode_symbol(
+        lambda _, y: dirac_hamiltonian(y, grid, pot, mass, 0.0, g4), 4, grid
+    )
+    symbol = np.moveaxis(columns, (0, 1), (-1, -2))  # (*extents, row, column)
+    k = [2 * np.pi * np.fft.fftfreq(n, h) for n, h in zip(grid.extents, grid.spacing)]
+    klat = np.meshgrid(*[np.sin(kj * h) / h for kj, h in zip(k, grid.spacing)], indexing="ij")
+    expected = mass * g4.gamma0 + sum(
+        np.multiply.outer(klat[j], g4.gamma0 @ g4.gamma(j + 1)) for j in range(3)
+    )
+    assert np.max(np.abs(symbol - expected)) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "potential, charge, loop_calls",
+    [("none", 0.5, 0), ("constant", 0.5, 0), ("one-site", 0.0, 0), ("one-site", 0.5, 1)],
+)
+def test_only_a_site_dependent_coupling_takes_the_step_loop(
+    g2, monkeypatch, potential, charge, loop_calls
+):
+    grid = Grid((16,), (L / 16,))
+    pot = {
+        "none": None,
+        "constant": EMPotential(grid, np.full((2, 16), 0.3)),
+        "one-site": one_site_potential(grid, 2),
+    }[potential]
+    calls = []
+
+    def counting_rk4_linear(*args):
+        calls.append(args)
+        return rk4_linear(*args)
+
+    monkeypatch.setattr(fields, "rk4_linear", counting_rk4_linear)
+    dirac_hamiltonian_evolve(random_spinor(grid, 2, seed=1), pot, 1.0, charge, 0.01, 1e-3, g2)
+    assert len(calls) == loop_calls
+
+
+def test_per_mode_path_peak_memory_within_the_loop(g4):
+    grid = Grid((32, 32, 32), (L / 32,) * 3)
+    psi0 = random_spinor(grid, 4, seed=2)
+    varying = one_site_potential(grid, 4)
+
+    def peak(pot):
+        tracemalloc.start()
+        try:
+            dirac_hamiltonian_evolve(psi0, pot, 1.0, 0.5, 2e-3, 1e-3, g4)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(None) <= peak(varying)
 
 
 def test_kg_dirac_consistency_free_field(g2):
