@@ -184,22 +184,21 @@ def cmd_spinor_rep(args) -> int:
         details=f"representation dimension {gamma_set.dim}",
         passed=closed and residual == 0,
     )
-    # Checked against sigma^{mu mu} = 0 and sigma^{mu nu} = g^mu g^nu / 2, read from the
+    # In integers at scale 4 D^2: C^{mu mu} = 0 and C^{mu nu} = 2 P[mu][nu], read from the
     # product table, not the commutator sigma_generators forms; for mu != nu the two
     # agree exactly when g^mu and g^nu anticommute.
     sigmas = sp.sigma_generators(gamma_set)
-    products = gamma_set.products
+    c, products = sigmas.numerators, gamma_set.products
     worst = 0
     for mu in range(sig.n):
         for nu in range(sig.n):
-            expected = 0 if mu == nu else products[mu][nu] * sp.HALF
-            delta = sigmas.mat(mu, nu) - expected
-            anti = sigmas.mat(mu, nu) + sigmas.mat(nu, mu)
+            expected = 0 if mu == nu else 2 * products[mu][nu]
             worst = max(
                 worst,
-                max(abs(x) for x in np.ravel(delta)),
-                max(abs(x) for x in np.ravel(anti)),
+                np.abs(c[mu, nu] - expected).max(),
+                np.abs(c[mu, nu] + c[nu, mu]).max(),
             )
+    worst = Fraction(worst, sigmas.scale)
     report.add(
         "sigma-generators", residual=float(worst), tolerance=0.0,
         relation="4 sigma^{mu nu} = [g^mu, g^nu], antisymmetric in (mu, nu)",

@@ -505,19 +505,22 @@ def _cfl_check(grid: Grid, dt: float):
 
 
 def dirac_hamiltonian(
-    psi_comp: np.ndarray, grid: Grid, pot: EMPotential, mass: float, charge: float,
+    psi_comp: np.ndarray, grid: Grid, pot: EMPotential | None, mass: float, charge: float,
     gset: FieldGammaSet,
 ) -> np.ndarray:
     """H_D psi = [gamma0 gamma^j (-i d_j + e A_j) + m gamma0 + e A_0] psi.
 
     Obtained from the covariant equation by multiplying with gamma0 and
     isolating i d_t; spatial axis j of the grid carries spacetime index j+1.
+    pot=None drops every A term.
     """
-    out = charge * pot.a[0] * psi_comp
-    out = out + mass * _apply_matrix(gset.gamma0, psi_comp)
+    out = mass * _apply_matrix(gset.gamma0, psi_comp)
+    if pot is not None:
+        out = charge * pot.a[0] * psi_comp + out
     for j in range(grid.dims):
-        dj = central_diff(psi_comp, j + 1, grid.spacing[j])
-        term = -1j * dj + charge * pot.a[j + 1] * psi_comp
+        term = -1j * central_diff(psi_comp, j + 1, grid.spacing[j])
+        if pot is not None:
+            term = term + charge * pot.a[j + 1] * psi_comp
         out = out + _apply_matrix(gset.gamma0_products[j + 1], term)
     return out
 
@@ -587,21 +590,20 @@ def dirac_hamiltonian_evolve(
             f"spatial grid has {grid.dims} axes; gamma set expects {gset.spacetime_dim - 1}"
         )
     _cfl_check(grid, dt)
-    pot_a = np.zeros((gset.spacetime_dim,) + grid.extents)
+    invariant = True
     if pot is not None:
-        if pot.n_components != gset.spacetime_dim:
+        if pot.a.shape != (gset.spacetime_dim,) + grid.extents:
             raise ValueError(
                 f"potential must supply {gset.spacetime_dim} spacetime components "
-                f"(A_0 first) over the spatial grid, got {pot.n_components}"
+                f"(A_0 first) over the spatial grid {grid.extents}, got shape {pot.a.shape}"
             )
-        pot_a[:] = pot.a
-    pot_full = EMPotential(grid, pot_a)
+        coupling = (charge * pot.a).reshape(len(pot.a), -1)
+        invariant = bool(np.all(coupling == coupling[:, :1]))
 
     def apply_h(time, y):
-        return dirac_hamiltonian(y, grid, pot_full, mass, charge, gset)
+        return dirac_hamiltonian(y, grid, pot, mass, charge, gset)
 
-    coupling = (charge * pot_a).reshape(len(pot_a), -1)
-    if np.all(coupling == coupling[:, :1]):
+    if invariant:
         comp = _evolve_modes(apply_h, psi0.components, grid, t, dt)
     else:
         comp = rk4_linear(apply_h, psi0.components, 0.0, t, dt)

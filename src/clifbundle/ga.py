@@ -131,11 +131,13 @@ class Metric:
         if all(isinstance(x, Rational) for x in g.flat):
             frame = _orthogonal_frame(g)
         else:
-            if abs(np.linalg.det(gf)) <= 1e-10:
-                raise MetricError("gram matrix is degenerate (|det| <= 1e-10)")
             # an orthonormal eigenbasis keeps the float frame as well
             # conditioned as the gram; elimination can blow up on a small pivot
             eigvals, vecs = np.linalg.eigh((gf + gf.T) / 2)
+            size = np.abs(eigvals)
+            # scale-free: judged by the condition number, not by |det|
+            if not np.isfinite(eigvals).all() or size.min() <= 1e-12 * size.max():
+                raise MetricError("gram matrix is degenerate (min |eigenvalue| <= 1e-12 max)")
             frame = (vecs, vecs.T, tuple(eigvals.tolist()))
         object.__setattr__(self, "gram", g)
         object.__setattr__(self, "frame", frame)

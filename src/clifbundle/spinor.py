@@ -9,13 +9,17 @@ left ideal Cl f -> gammas.  The ideal's basis is in reduced row echelon
 form, so the gamma matrices are read off, not solved for: the coordinates
 of e^mu w are its entries at the basis' pivot masks, and each image is
 confirmed by exact reconstruction, which also proves the ideal closed.
-Each GammaSet forms its products g^mu g^nu once, for the anticommutator and
-sigma checks.  Everything in this module runs over Fractions so that the
-defining anticommutation relations are checked as equalities.
+Everything in this module is exact, so that the defining anticommutation
+relations are checked as equalities.  The construction runs over Fractions.
+Each GammaSet also holds one integer form, N^mu = D g^mu with D the lcm of
+the entry denominators, over Python ints (no overflow).  Its products
+N^mu N^nu are formed once, at scale D^2, and the anticommutator and sigma
+checks run on them in integers; residuals come back as Fractions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -41,7 +45,6 @@ class ClosureError(RuntimeError):
 
 
 HALF = Fraction(1, 2)
-QUARTER = Fraction(1, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -208,13 +211,25 @@ class GammaSet:
         return self.signature.diag
 
     @cached_property
-    def products(self) -> list[list[np.ndarray]]:
-        """The table P[mu][nu] = g^mu g^nu, formed once per set."""
-        return gamma_products(self.gammas)
+    def denominator(self) -> int:
+        """D, the lcm of the denominators of every gamma entry."""
+        return math.lcm(*(x.denominator for g in self.gammas for x in g.flat))
 
-    def anticommutator_residuals(self):
+    @cached_property
+    def numerators(self) -> list[np.ndarray]:
+        """The integer matrices N^mu = D g^mu, object arrays of Python ints."""
+        d = self.denominator
+        to_int = np.frompyfunc(lambda x: x.numerator * (d // x.denominator), 1, 1)
+        return [to_int(g) for g in self.gammas]
+
+    @cached_property
+    def products(self) -> list[list[np.ndarray]]:
+        """The table P[mu][nu] = N^mu N^nu = D^2 g^mu g^nu, formed once per set."""
+        return gamma_products(self.numerators)
+
+    def anticommutator_residuals(self) -> Fraction:
         """Max |{g^mu, g^nu} - 2 g^{mu nu} I| entry over all pairs; exact zero expected."""
-        return anticommutator_residual(self.products, self.metric_diag)
+        return anticommutator_residual(self.products, self.metric_diag, self.denominator**2)
 
 
 def gamma_products(gammas) -> list[list[np.ndarray]]:
@@ -222,26 +237,24 @@ def gamma_products(gammas) -> list[list[np.ndarray]]:
     return [[a @ b for b in gammas] for a in gammas]
 
 
-def anticommutator_residual(products, diag):
-    """Largest entry of |P[mu][nu] + P[nu][mu] - 2 diag[mu] delta^{mu nu} I|.
+def anticommutator_residual(products, diag, scale=1):
+    """Largest entry of |P[mu][nu] + P[nu][mu] - 2 diag[mu] delta^{mu nu} scale I| / scale.
 
-    ``products`` is a ``gamma_products`` table.  Exact (object) matrices give
-    the exact residual.  Float matrices give a float, and may be stacked
-    fields of shape (*extents, m, m).
+    ``products`` is a ``gamma_products`` table of gammas scaled by sqrt(scale).
+    Integer (object) matrices are compared in integers and give the exact
+    residual as a Fraction.  Float matrices give a float, NaN if any entry
+    is NaN, and may be stacked fields of shape (*extents, m, m).
     """
     exact_mode = products[0][0].dtype == object
     m = products[0][0].shape[-1]
-    eye = exact.identity(m) if exact_mode else np.eye(m)
-    worst = 0 if exact_mode else 0.0
+    eye = np.eye(m, dtype=int).astype(object) if exact_mode else np.eye(m)
+    pairs = []
     for mu in range(len(diag)):
         for nu in range(mu, len(diag)):
-            target = (2 * diag[mu] if mu == nu else 0) * eye
-            delta = products[mu][nu] + products[nu][mu] - target
-            if exact_mode:
-                worst = max(worst, max(abs(x) for x in np.ravel(delta)))
-            else:
-                worst = max(worst, float(np.max(np.abs(delta))))
-    return worst
+            target = (2 * diag[mu] * scale if mu == nu else 0) * eye
+            pairs.append(np.abs(products[mu][nu] + products[nu][mu] - target).max())
+    # np.max, unlike max, keeps a NaN wherever it sits in the list
+    return Fraction(max(pairs), scale) if exact_mode else float(np.max(pairs))
 
 
 def spinor_rep_matrices(
@@ -313,26 +326,34 @@ def algebra_span_dimension(gamma_set: GammaSet) -> int:
 
 @dataclass(frozen=True)
 class SigmaSet:
-    """Quarter-commutators sigma^{mu nu} = [g^mu, g^nu] / 4."""
+    """Quarter-commutators sigma^{mu nu} = [g^mu, g^nu] / 4, held in integers.
+
+    ``numerators[(mu, nu)]`` is C^{mu nu} = P[mu][nu] - P[nu][mu] of the
+    integer product table, so sigma^{mu nu} = C^{mu nu} / scale, scale = 4 D^2.
+    """
 
     n: int
     dim: int
-    table: dict = field(repr=False)
+    scale: int
+    numerators: dict = field(repr=False)
 
     def mat(self, mu: int, nu: int) -> np.ndarray:
-        return self.table[(mu, nu)]
+        """sigma^{mu nu} as an exact Fraction matrix, built on each call."""
+        return self.numerators[(mu, nu)] * Fraction(1, self.scale)
 
 
 def sigma_generators(gamma_set: GammaSet) -> SigmaSet:
-    """Quarter-commutators read from the set's product table."""
-    quarter = QUARTER if gamma_set.gammas[0].dtype == object else 0.25
+    """Commutator numerators read from the set's integer product table."""
     p = gamma_set.products
-    table = {
-        (mu, nu): (p[mu][nu] - p[nu][mu]) * quarter
+    numerators = {
+        (mu, nu): p[mu][nu] - p[nu][mu]
         for mu in range(gamma_set.n)
         for nu in range(gamma_set.n)
     }
-    return SigmaSet(n=gamma_set.n, dim=gamma_set.dim, table=table)
+    return SigmaSet(
+        n=gamma_set.n, dim=gamma_set.dim, scale=4 * gamma_set.denominator**2,
+        numerators=numerators,
+    )
 
 
 def _check_antisymmetric(coeffs, n: int, what: str):

@@ -73,15 +73,18 @@ class Path:
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
-        points = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if points.shape[0] != times.shape[0]:
-            points = points.T
+        points = np.asarray(self.points, dtype=float)
         if times.ndim != 1 or len(times) < 2:
             raise ValueError("a path needs at least 2 samples")
         if not np.all(np.diff(times) > 0):
             raise ValueError("path times must be strictly increasing")
-        if points.shape[0] != len(times):
-            raise ValueError("one base point per sample time required")
+        if points.ndim == 1:
+            points = points.reshape(-1, 1)
+        if points.ndim != 2 or points.shape[0] != len(times):
+            raise ValueError(
+                f"points must have shape (N,) or (N, d) for N = {len(times)} samples, "
+                f"got {np.shape(self.points)}"
+            )
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "points", points)
 

@@ -151,6 +151,30 @@ def test_spinor_rep_fails_a_gamma_that_breaks_anticommutation(tmp_path, monkeypa
     assert status["minimal-ideal"] == "pass"
 
 
+def test_sigma_generators_row_fails_a_table_that_is_not_antisymmetric(tmp_path, monkeypatch):
+    # sigma^{mu nu} = g^mu g^nu / 2 in place of the quarter-commutator passes the
+    # row's C^{mu nu} = 2 P[mu][nu] test; on gammas that do not anticommute only
+    # the antisymmetry test C^{mu nu} + C^{nu mu} = 0 can catch it
+    rep, sigmas = sp.spinor_rep_matrices, sp.sigma_generators
+
+    def broken(*args):
+        gs = rep(*args)
+        g = list(gs.gammas)
+        g[1] = g[1] + g[0]
+        return dataclasses.replace(gs, gammas=g)
+
+    def half_products(gamma_set):
+        good, p = sigmas(gamma_set), gamma_set.products
+        numerators = {(mu, nu): 0 * c if mu == nu else 2 * p[mu][nu]
+                      for (mu, nu), c in good.numerators.items()}
+        return dataclasses.replace(good, numerators=numerators)
+
+    monkeypatch.setattr(sp, "spinor_rep_matrices", broken)
+    monkeypatch.setattr(sp, "sigma_generators", half_products)
+    assert main(["spinor-rep", "--signature", "3,1", "--out", str(tmp_path)]) == 1
+    assert statuses(load_report(tmp_path, "spinor_rep_report.json"))["sigma-generators"] == "fail"
+
+
 class _CountingMatrix(np.ndarray):
     """Object matrix that counts every matrix product it takes part in."""
 

@@ -523,16 +523,27 @@ def test_per_mode_path_peak_memory_within_the_loop(g4):
     grid = Grid((32, 32, 32), (L / 32,) * 3)
     psi0 = random_spinor(grid, 4, seed=2)
     varying = one_site_potential(grid, 4)
+    t, dt = 2e-3, 1e-3
 
-    def peak(pot):
+    def peak(run):
         tracemalloc.start()
         try:
-            dirac_hamiltonian_evolve(psi0, pot, 1.0, 0.5, 2e-3, 1e-3, g4)
+            run()
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    assert peak(None) <= peak(varying)
+    def evolve(pot):
+        return lambda: dirac_hamiltonian_evolve(psi0, pot, 1.0, 0.5, t, dt, g4)
+
+    free = peak(evolve(None))
+    assert free <= peak(evolve(varying))
+    # pot=None allocates no zero potential and no charge * A array
+    modes = peak(lambda: fields._evolve_modes(
+        lambda _, y: dirac_hamiltonian(y, grid, None, 1.0, 0.5, g4),
+        psi0.components, grid, t, dt,
+    ))
+    assert free <= 1.05 * modes
 
 
 def test_kg_dirac_consistency_free_field(g2):

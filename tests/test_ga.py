@@ -403,6 +403,21 @@ def test_exact_metric_nondegeneracy_is_scale_free():
         Metric.from_gram(np.array([[0, 0, 1], [0, 0, 2], [1, 2, 0]], dtype=object))
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1e5])
+def test_float_metric_nondegeneracy_is_scale_free(scale):
+    # a multiple of the identity has condition number 1 at any scale
+    g = Metric.from_gram(scale * np.eye(4))
+    assert clifford(e(1, 4, 1.0), e(1, 4, 1.0), g).almost_equal(
+        Multivector.scalar(scale, 4), 1e-12 * scale
+    )
+
+
+@pytest.mark.parametrize("gram", [[[1.0, 1.0], [1.0, 1.0]], np.diag([1.0, 1e-14])])
+def test_float_metric_rejects_ill_conditioned_grams(gram):
+    with pytest.raises(MetricError):
+        Metric.from_gram(gram)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_metric_rejects_non_finite_entries(bad):
     with pytest.raises(MetricError):

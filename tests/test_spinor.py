@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 
 import numpy as np
@@ -8,9 +9,11 @@ from clifbundle.ga import Metric, Multivector, Signature, basis_blades, clifford
 from clifbundle.spinor import (
     ClosureError,
     algebra_span_dimension,
+    anticommutator_residual,
     blade_square_sign,
     blades_commute,
     find_primitive_idempotent,
+    gamma_products,
     gamma_set_for_signature,
     minimal_ideal_dimension,
     minimal_left_ideal,
@@ -21,6 +24,7 @@ from clifbundle.spinor import (
     spinor_cov_deriv,
     spinor_lie_deriv,
     spinor_rep_matrices,
+    spinor_representation,
     verify_iso_table,
 )
 
@@ -335,6 +339,75 @@ def test_sigma_commutators_match_brute_force_oracle(cl31):
     # and with the timelike index: [sigma^14, sigma^24] = +1 * sigma^12
     comm_t = s[(0, 3)] @ s[(1, 3)] - s[(1, 3)] @ s[(0, 3)]
     assert mat_equal(comm_t, s[(0, 1)])
+
+
+# ---------------------------------------------------------------------------
+# integer product table against a Fraction oracle
+
+
+def fraction_oracle(gs):
+    """Products g^a g^b and the anticommutator residual, in Fractions on the gammas."""
+    g = gs.gammas
+    prod = {(a, b): g[a] @ g[b] for a in range(gs.n) for b in range(gs.n)}
+    eye = frac_eye(gs.dim)
+    residual = max(
+        max(abs(x) for x in np.ravel(
+            prod[a, b] + prod[b, a] - (2 * gs.metric_diag[a] if a == b else 0) * eye
+        ))
+        for a, b in prod
+    )
+    return prod, residual
+
+
+def assert_integer_table_matches_oracle(gs):
+    prod, residual = fraction_oracle(gs)
+    scale = gs.denominator**2
+    sigmas = sigma_generators(gs)
+    assert sigmas.scale == 4 * scale
+    for (a, b), oracle in prod.items():
+        table = gs.products[a][b]
+        assert all(type(x) is int for x in np.ravel(table))
+        assert mat_equal(table, oracle * scale)
+        assert mat_equal(sigmas.mat(a, b), (oracle - prod[b, a]) * F(1, 4))
+    got = gs.anticommutator_residuals()
+    assert type(got) is F and got == residual
+
+
+LADDER = [(p, n - p) for n in range(1, 6) for p in range(n + 1)] + [(3, 3)]
+
+
+@pytest.mark.parametrize("p,q", LADDER)
+def test_integer_table_matches_the_fraction_oracle(p, q):
+    gs = spinor_representation(Signature(p, q))[1]
+    assert gs.denominator == 1
+    assert_integer_table_matches_oracle(gs)
+
+
+@pytest.mark.parametrize("thirds", [(1, 1, 1, 1), (1, 2, 1, 3)])
+def test_rescaled_gammas_give_the_oracle_residual(thirds):
+    gs = gamma_set_for_signature(Signature(3, 1))
+    scaled = dataclasses.replace(
+        gs, gammas=[g * F(k, 3) for g, k in zip(gs.gammas, thirds)]
+    )
+    assert scaled.denominator == 3
+    assert scaled.anticommutator_residuals() != 0
+    assert_integer_table_matches_oracle(scaled)
+
+
+def test_mixed_denominators_share_one_lcm():
+    gs = gamma_set_for_signature(Signature(1, 1))
+    scaled = dataclasses.replace(gs, gammas=[gs.gammas[0] * F(1, 2), gs.gammas[1] * F(2, 3)])
+    assert scaled.denominator == 6
+    assert mat_equal(scaled.numerators[0], gs.gammas[0] * 3)
+    assert mat_equal(scaled.numerators[1], gs.gammas[1] * 4)
+    assert_integer_table_matches_oracle(scaled)
+
+
+def test_float_residual_keeps_a_nan():
+    g = [np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])]
+    assert anticommutator_residual(gamma_products(g), (1, 1)) == 0.0
+    g[1][0, 0] = np.nan
+    assert np.isnan(anticommutator_residual(gamma_products(g), (1, 1)))
 
 
 # ---------------------------------------------------------------------------

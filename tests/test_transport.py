@@ -335,6 +335,16 @@ def test_path_validation():
         path.check_time(1.5)
 
 
+def test_path_points_are_n_or_n_by_d():
+    # a (1, 2) array is one 2-D point, not two 1-D points: no silent transpose
+    with pytest.raises(ValueError, match="shape"):
+        Path([0, 1], [[0.0, 1.0]])
+    assert Path([0, 0.5, 1], [0, 0.5, 1]).points.shape == (3, 1)
+    assert Path([0, 1], [[0.0, 1.0], [2.0, 3.0]]).points.shape == (2, 2)
+    with pytest.raises(ValueError, match="shape"):
+        Path([0, 1], np.zeros((2, 1, 1)))
+
+
 # ---------------------------------------------------------------------------
 # connection coefficients
 
