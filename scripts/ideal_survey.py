@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Survey minimal left-ideal dimensions across small signatures.
 
-For each Cl(p,q) with p+q <= 4, runs the primitive-idempotent search and
-tabulates the resulting spinor-space dimension next to the algebra
-dimension; division-algebra rows show the whole algebra.
+For each Cl(p,q) with p+q <= 4, builds the primitive idempotent (a
+greedy product of commuting factors (1 + e_A)/2) and tabulates the
+dimension of its minimal left ideal, the spinor space, next to the
+algebra dimension and the first factor; division-algebra rows show the
+whole algebra.
 """
 
 from clifbundle.ga import Signature

@@ -9,8 +9,12 @@ ROOT/src.  For each run it prints whether the exit codes agree, whether
 every check row agrees in name and status, the largest |delta residual|
 over the check rows and the largest |delta| over the numeric cells of the
 CSV files the run wrote.  A CSV file or cell present on one side only,
-or a text cell that differs, counts as inf.  Exits 1 if any exit code or
-check status differs, 0 otherwise.
+or a text cell that differs, counts as inf.  Under each run it names every
+field of the JSON files the run wrote that differs, wall_time_s aside, as
+FILE:/key/.../key with check rows keyed by name (for example
+spinor_rep_report.json:/checks/idempotent-search/details); a list of
+values is one field.  Exits 1 if any exit code or check status differs,
+0 otherwise.
 """
 
 import contextlib
@@ -85,6 +89,36 @@ def _csv_cells(run_dir: Path) -> dict:
     return cells
 
 
+def _fields(obj, path=""):
+    """(path, value) of every leaf: dicts by key, lists of named rows by name."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif obj and isinstance(obj, list) and all(isinstance(x, dict) and "name" in x for x in obj):
+        items = ((x["name"], x) for x in obj)
+    else:
+        yield path, json.dumps(obj, sort_keys=True)
+        return
+    for key, value in items:
+        yield from _fields(value, f"{path}/{key}")
+
+
+def field_diffs(run_a: Path, run_b: Path) -> list[str]:
+    """FILE:/path of every JSON field that differs between two run directories."""
+    names = []
+    files = {p.relative_to(d) for d in (run_a, run_b) for p in d.rglob("*.json")}
+    for rel in sorted(files):
+        if not ((run_a / rel).is_file() and (run_b / rel).is_file()):
+            names.append(f"{rel}: written on one side only")
+            continue
+        a, b = (json.loads((run_dir / rel).read_text()) for run_dir in (run_a, run_b))
+        for obj in (a, b):
+            if isinstance(obj, dict):
+                obj.pop("wall_time_s", None)
+        a, b = dict(_fields(a)), dict(_fields(b))
+        names += [f"{rel}:{key}" for key in sorted(a.keys() | b.keys()) if a.get(key) != b.get(key)]
+    return names
+
+
 def _max_delta(a: dict, b: dict, value) -> float:
     worst = 0.0
     for key in a.keys() | b.keys():
@@ -115,6 +149,8 @@ def compare(out_a: Path, out_b: Path) -> bool:
             f"{d_res:16.3e}{d_csv:12.3e}  {' '.join(run)}",
             flush=True,
         )
+        for name in field_diffs(dir_a, dir_b):
+            print(f"{'':<14}field {name}", flush=True)
     return agree
 
 

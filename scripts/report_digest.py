@@ -34,11 +34,11 @@ RUNS = [
     ["spinor-rep", "--signature", "0,3"],
     ["spinor-rep", "--signature", "1,3"],
     ["spinor-rep", "--signature", "4,1"],
-    # real M_8(R); the search note lists the redundant factor e124 = e1 e24
+    # real M_8(R): three factors e1, e24, e35
     ["spinor-rep", "--signature", "3,3"],
     # quaternionic M_4(H): 16-dimensional ideal, above the old 2^(n/2) stop
     ["spinor-rep", "--signature", "2,4"],
-    # 2 x M_4(H): the old stop rule searched all products, the new one stops at 16
+    # 2 x M_4(H): three factors e1, e23, e4567, down to the 16-dimensional ideal
     ["spinor-rep", "--signature", "2,5"],
     ["transport", "--scenario", "scenarios/qubit.json"],
     ["transport", "--scenario", "scenarios/qubit_gauged.json"],

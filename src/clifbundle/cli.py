@@ -9,7 +9,9 @@ transport   evolution-transport scenario from a JSON file
 dirac       flat-grid field scenarios (dispersion | hermiticity |
             dalembert | kg-roundtrip | wrap-check)
 
-Exit codes: 0 all checks passed, 1 a tolerance failed, 2 usage/config error.
+Exit codes: 0 all checks passed, 1 a tolerance failed, 2 usage/config error,
+3 numerical fault: a linear-algebra routine failed, or the gammas a scenario
+needs came from a basis that is not a left ideal.  Exit 3 writes no report.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .report import Report
 
 EQ1_RELATION = "e_i e_j + e_j e_i = 2 g_ij"
 USAGE_ERROR = 2
+NUMERICAL_FAULT = 3
 
 
 class UsageError(ValueError):
@@ -654,6 +657,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    # LinAlgError subclasses ValueError, so it is caught first
+    except (np.linalg.LinAlgError, sp.ClosureError) as exc:
+        print(f"error: numerical fault: {exc}", file=sys.stderr)
+        return NUMERICAL_FAULT
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -126,8 +126,8 @@ class Metric:
         gf = np.array(g, dtype=float)
         if not np.isfinite(gf).all():
             raise MetricError("gram matrix has a non-finite entry")
-        if np.max(np.abs(gf - gf.T)) > 1e-12:
-            raise MetricError("gram matrix is not symmetric (residual > 1e-12)")
+        if np.max(np.abs(gf - gf.T)) > 1e-12 * np.max(np.abs(gf)):
+            raise MetricError("gram matrix is not symmetric (residual > 1e-12 max |g_ij|)")
         if all(isinstance(x, Rational) for x in g.flat):
             frame = _orthogonal_frame(g)
         else:

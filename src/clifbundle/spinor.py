@@ -1,12 +1,14 @@
 """Spinor representations of Cl(p,q) via minimal left ideals.
 
-The regular representation acts on the 2^n blade basis.  A depth-first
-search multiplies factors (1 +- e_A)/2 of commuting +1-square blades and
-stops at the classified minimal ideal dimension; C and H keep f = 1.  It
-never squares f (commuting idempotents multiply to idempotents), so a
-caller's f f = f check tests it.  spinor_representation runs search ->
-left ideal Cl f -> gammas.  The ideal's basis is in reduced row echelon
-form, so the gamma matrices are read off, not solved for: the coordinates
+The regular representation acts on the 2^n blade basis.  The primitive
+idempotent f multiplies, in ascending mask order, factors (1 + e_A)/2 of
+commuting +1-square blades outside f's support, and stops at the
+classified minimal ideal dimension; C and H keep f = 1.  It never squares
+f (commuting idempotents multiply to idempotents), so a caller's f f = f
+check tests it.  spinor_representation runs idempotent -> left ideal
+Cl f -> gammas.  The ideal's basis, e_b f with one b per coset of f's
+blade support, has disjoint supports and so is in reduced row echelon
+form; the gamma matrices are read off, not solved for: the coordinates
 of e^mu w are its entries at the basis' pivot masks, and each image is
 confirmed by exact reconstruction, which also proves the ideal closed.
 Everything in this module is exact, so that the defining anticommutation
@@ -32,6 +34,7 @@ from .ga import (
     Multivector,
     Signature,
     basis_blades,
+    blade_label,
     clifford,
     grade_of_mask,
     mask_indices,
@@ -59,10 +62,6 @@ def multivector_coords(v: Multivector) -> np.ndarray:
     return out
 
 
-def coords_to_multivector(coords, n: int) -> Multivector:
-    return Multivector(n, {m: c for m, c in enumerate(coords) if c != 0})
-
-
 def regular_rep(v: Multivector, metric: Metric) -> np.ndarray:
     """Matrix of x -> v * x in the blade basis (2^n square, exact for exact input)."""
     n = v.n
@@ -76,7 +75,7 @@ def regular_rep(v: Multivector, metric: Metric) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# blade combinatorics used by the idempotent search
+# blade combinatorics used by the idempotent construction
 
 
 def blade_square_sign(mask: int, diag) -> int:
@@ -100,7 +99,7 @@ def blades_commute(ma: int, mb: int) -> bool:
 
 @dataclass(frozen=True)
 class IdempotentReport:
-    """Outcome of the primitive-idempotent search for one signature."""
+    """The primitive idempotent of one signature and the blades of its factors."""
 
     signature: Signature
     idempotent: Multivector
@@ -115,10 +114,7 @@ class IdempotentReport:
     def note(self) -> str:
         if self.whole_algebra:
             return "no nontrivial idempotent: the whole algebra is the minimal ideal"
-        labels = ", ".join(
-            f"(1 {'+' if s > 0 else '-'} e{''.join(map(str, mask_indices(m)))})/2"
-            for m, s in self.factors
-        )
+        labels = ", ".join(f"(1 + {blade_label(m)})/2" for m in self.factors)
         return f"idempotent {labels}, ideal dimension {self.ideal_dimension}"
 
 
@@ -133,56 +129,57 @@ def minimal_ideal_dimension(sig: Signature) -> int:
 
 
 def find_primitive_idempotent(sig: Signature) -> IdempotentReport:
-    """First product of the depth-first search whose left ideal has minimal dimension.
+    """Greedy product of commuting factors (1 + e_A)/2 down to the minimal ideal.
 
-    Walks the products of commuting factors (1 +- e_A)/2, e_A squaring to +1,
-    in ascending mask order with sign + before -, keeps the smallest ideal
-    seen and stops at minimal_ideal_dimension.  It starts from f = 1, the
-    answer for C and H, which have no +1-square blade.
+    In ascending mask order, takes each +1-square blade e_A that commutes
+    with every factor so far and lies outside f's support H, the group the
+    factors' blades generate; such a factor halves the ideal and never gives
+    0.  Stops once 2^n / |H| reaches minimal_ideal_dimension; C and H keep f = 1.
     """
     metric = sig.metric()
     n = sig.n
     one = Multivector.scalar(Fraction(1), n)
-    candidates = [m for m in range(1, 1 << n) if blade_square_sign(m, sig.diag) == 1]
-    k_max = n // 2 + 1
-
-    def walk(f: Multivector, factors: tuple, start: int):
-        if len(factors) >= k_max:
-            return
-        for idx in range(start, len(candidates)):
-            mask = candidates[idx]
-            if not all(blades_commute(mask, m) for m, _ in factors):
-                continue
-            for sign in (1, -1):
-                g = clifford(f, (one + Multivector(n, {mask: Fraction(sign)})) * HALF, metric)
-                if not g.is_zero():  # every extension of 0 is 0
-                    yield g, factors + ((mask, sign),)
-                    yield from walk(g, factors + ((mask, sign),), idx + 1)
-
     target = minimal_ideal_dimension(sig)
-    best = IdempotentReport(sig, one, 1 << n)
-    for f, factors in walk(one, (), 0):
-        # right multiplication by an idempotent f is a projection, so the
-        # ideal's dimension is its trace, 2^n times the scalar part of f
-        dim = int(Fraction(f.coeff(0)) * (1 << n))
-        if dim < best.ideal_dimension:
-            best = IdempotentReport(sig, f, dim, factors)
-            if dim <= target:
-                break
-    return best
+    f, factors = one, []
+    for mask in range(1, 1 << n):
+        if len(f.terms) * target >= 1 << n:
+            break
+        if (
+            mask not in f.terms
+            and blade_square_sign(mask, sig.diag) == 1
+            and all(blades_commute(mask, m) for m in factors)
+        ):
+            f = clifford(f, (one + Multivector(n, {mask: Fraction(1)})) * HALF, metric)
+            factors.append(mask)
+    # right multiplication by an idempotent f is a projection, so the
+    # ideal's dimension is its trace, 2^n times the scalar part of f
+    dim = int(Fraction(f.coeff(0)) * (1 << n))
+    return IdempotentReport(sig, f, dim, tuple(factors))
 
 
 def minimal_left_ideal(f: Multivector, metric: Metric) -> list[Multivector]:
-    """Ordered basis of the left ideal generated by f, by exact row reduction."""
+    """Basis e_b f / (e_b f)[b] of Cl f, one b per coset b + H, H the support of f.
+
+    Needs an orthogonal basis and e_h f = +-f for every h in H, as for a
+    product of commuting factors (1 +- e_A)/2; otherwise raises ValueError.
+    Then e_b f has support b + H, so the vectors of distinct cosets are
+    independent, and with b the lowest mask of its coset they are the
+    reduced row echelon basis of Cl f, pivots at the b.
+    """
     n = f.n
-    dim = 1 << n
-    rows = np.full((dim, dim), Fraction(0), dtype=object)
-    for b in range(dim):
-        image = clifford(Multivector(n, {b: Fraction(1)}), f, metric)
-        for mask, c in image.terms.items():
-            rows[b, mask] = Fraction(c)
-    red, pivots = exact.rref(rows)
-    return [coords_to_multivector(red[r], n) for r in range(len(pivots))]
+    blade = lambda mask: Multivector(n, {mask: Fraction(1)})
+    group = list(f.terms)
+    if not metric.is_diagonal or f.is_zero() or any(
+        clifford(blade(h), f, metric) not in (f, -f) for h in group
+    ):
+        raise ValueError("no coset basis: e_h f = +-f must hold for every blade h in f's support")
+    basis, covered = [], set()
+    for b in range(1 << n):
+        if b not in covered:
+            covered.update(b ^ h for h in group)
+            w = clifford(blade(b), f, metric)
+            basis.append(w * (1 / Fraction(w.coeff(b))))
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +286,7 @@ def spinor_rep_matrices(
 
 
 def spinor_representation(sig: Signature) -> tuple[IdempotentReport, GammaSet]:
-    """Idempotent search -> minimal left ideal -> gammas read off at its pivots.
+    """Primitive idempotent -> minimal left ideal -> gammas read off at its pivots.
 
     The gammas represent the algebra only if ``closure_failures == 0``.
     """

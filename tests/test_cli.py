@@ -132,6 +132,27 @@ def test_verify_closure_failure_is_a_law_failure(tmp_path, scalar_in_ideal):
         assert status[f"{tag}-full-matrix-span"] == "fail"
 
 
+def test_closure_failure_behind_field_gammas_is_a_numerical_fault(
+    tmp_path, capsys, scalar_in_ideal
+):
+    # the dirac scenarios need a representation; without one they cannot run
+    assert main(["dirac", "--scenario", "hermiticity", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith("error: numerical fault: ")
+    assert not (tmp_path / "dirac_report.json").exists()
+
+
+def test_failed_eigensolver_is_a_numerical_fault(tmp_path, capsys, monkeypatch):
+    # LinAlgError subclasses ValueError, which alone would map it to exit 2
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    assert main(["dirac", "--scenario", "dispersion", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: numerical fault: Eigenvalues did not converge\n"
+    assert not (tmp_path / "dirac_report.json").exists()
+
+
 def test_spinor_rep_fails_a_gamma_that_breaks_anticommutation(tmp_path, monkeypatch):
     # the product table is shared by gamma-relations and sigma-generators;
     # both must still see g^2 -> g^2 + g^1 break the relations

@@ -412,6 +412,17 @@ def test_float_metric_nondegeneracy_is_scale_free(scale):
     )
 
 
+def test_float_metric_symmetry_gate_is_scale_free():
+    # rounding leaves an asymmetry of ~3e-11 in this 4e5-scale gram; relative
+    # to max |g_ij| it is ~1e-16, so the gram is symmetric
+    q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(4, 4)))
+    gram = q @ np.diag([1e5, 2e5, -3e5, 4e5]) @ q.T
+    assert np.max(np.abs(gram - gram.T)) > 1e-12
+    assert Metric.from_gram(gram).n == 4
+    with pytest.raises(MetricError):
+        Metric.from_gram(1e5 * np.array([[1.0, 0.5], [0.2, 1.0]]))
+
+
 @pytest.mark.parametrize("gram", [[[1.0, 1.0], [1.0, 1.0]], np.diag([1.0, 1e-14])])
 def test_float_metric_rejects_ill_conditioned_grams(gram):
     with pytest.raises(MetricError):

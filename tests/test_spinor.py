@@ -111,8 +111,9 @@ def test_minimal_ideal_dimensions(p, q, expected_dim, whole):
 
 
 def test_search_stops_where_an_exhaustive_search_ends(monkeypatch):
-    # with the stop rule disabled the walk visits every product; it must find
-    # no smaller ideal, and keep the same first minimal idempotent
+    # with the stop rule disabled the loop runs over every mask; no further
+    # commuting +1-square blade may fit, so it keeps the same idempotent and
+    # the classified dimension is the smallest the construction reaches
     signatures = [Signature(p, n - p) for n in range(1, 6) for p in range(n + 1)]
     stopped = {sig: find_primitive_idempotent(sig) for sig in signatures}
     classified = {sig: minimal_ideal_dimension(sig) for sig in signatures}
@@ -166,6 +167,87 @@ def test_ideal_closed_under_left_multiplication_cl31():
     basis = minimal_left_ideal(report.idempotent, metric)
     assert len(basis) == 4
     assert spinor_rep_matrices(basis, metric, sig).closure_failures == 0
+
+
+# ---------------------------------------------------------------------------
+# the direct construction against dense elimination and the classification
+
+
+def signatures_up_to(n_max):
+    return [Signature(p, n - p) for n in range(1, n_max + 1) for p in range(n + 1)]
+
+
+def blade(mask, n):
+    return Multivector(n, {mask: F(1)})
+
+
+@pytest.mark.parametrize("sig", signatures_up_to(6), ids=str)
+def test_coset_basis_is_the_rref_of_the_dense_ideal(sig):
+    # the reference: exact row reduction of the dense matrix of e_b f, every b
+    metric = sig.metric()
+    f = find_primitive_idempotent(sig).idempotent
+    rows = np.stack([multivector_coords(clifford(blade(b, sig.n), f, metric))
+                     for b in range(1 << sig.n)])
+    red, pivots = exact.rref(rows)
+    basis = minimal_left_ideal(f, metric)
+    assert len(basis) == len(pivots)
+    for w, row in zip(basis, red):
+        assert mat_equal(multivector_coords(w), row)
+
+
+# (p - q) mod 8 -> real dimension of f Cl f, the division algebra R, C or H
+DIVISION_DIM = (1, 1, 1, 2, 4, 4, 4, 2)
+
+
+@pytest.mark.parametrize("sig", signatures_up_to(6), ids=str)
+def test_idempotent_is_primitive(sig):
+    # f is primitive exactly when f Cl f is a division algebra; its real
+    # dimension comes from the R/C/H table, not from the construction's stop
+    metric = sig.metric()
+    f = find_primitive_idempotent(sig).idempotent
+    sandwiches = np.stack([
+        multivector_coords(clifford(clifford(f, blade(a, sig.n), metric), f, metric))
+        for a in range(1 << sig.n)
+    ])
+    assert exact.rank(sandwiches) == DIVISION_DIM[(sig.p - sig.q) % 8]
+
+
+@pytest.mark.parametrize("sig", signatures_up_to(8), ids=str)
+def test_factors_are_independent_and_multiply_to_f(sig):
+    # each listed factor halves the ideal, so none is redundant
+    report = find_primitive_idempotent(sig)
+    assert 1 << (sig.n - len(report.factors)) == report.ideal_dimension
+    metric = sig.metric()
+    one = Multivector.scalar(F(1), sig.n)
+    product = one
+    for mask in report.factors:
+        product = clifford(product, (one + blade(mask, sig.n)) * F(1, 2), metric)
+    assert product == report.idempotent
+
+
+@pytest.mark.parametrize("sig", signatures_up_to(7), ids=str)
+def test_representation_is_closed_exact_and_minimal(sig):
+    gs = spinor_representation(sig)[1]
+    assert gs.closure_failures == 0
+    assert gs.anticommutator_residuals() == 0
+    assert gs.dim == minimal_ideal_dimension(sig)
+
+
+def test_coset_basis_rejects_an_idempotent_off_the_blade_group():
+    # v = (3 e1 + 4 e2)/5 squares to 1, so (1 + v)/2 is idempotent, but its
+    # support {1, e1, e2} is no blade group: e1 f is not +-f
+    sig = Signature(2, 0)
+    metric = sig.metric()
+    v = Multivector(2, {0b01: F(3, 5), 0b10: F(4, 5)})
+    f = (Multivector.scalar(F(1), 2) + v) * F(1, 2)
+    assert clifford(f, f, metric) == f
+    with pytest.raises(ValueError, match="coset basis"):
+        minimal_left_ideal(f, metric)
+    # e_b e_h is a single blade only in an orthogonal basis
+    skew = Metric.from_gram(np.array([[1, F(1, 2)], [F(1, 2), 1]], dtype=object))
+    e1 = Multivector.basis_vector(1, 2, F(1))
+    with pytest.raises(ValueError, match="coset basis"):
+        minimal_left_ideal((Multivector.scalar(F(1), 2) + e1) * F(1, 2), skew)
 
 
 # ---------------------------------------------------------------------------
