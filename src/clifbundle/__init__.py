@@ -2,7 +2,6 @@
 
 Layers, bottom up:
 
-- multilinear: dense (p,q)-tensors, contraction, alternation, pull-back
 - ga: blades, multivectors, wedge / interior / Clifford products over any
   nondegenerate symmetric real metric (exact or float scalars)
 - spinor: regular representation, primitive idempotents, minimal left
@@ -32,7 +31,6 @@ from .ga import (
     scalar_product,
     wedge,
 )
-from .multilinear import LinearMap, Tensor, alternate, contract, pullback, tensor_product
 from .spinor import (
     GammaSet,
     SigmaSet,

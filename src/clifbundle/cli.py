@@ -53,12 +53,17 @@ def _parse_signature(text: str) -> Signature:
     return sig
 
 
-def _parse_tols(pairs) -> dict:
+def _parse_tols(pairs, names) -> dict:
+    """--tol name=value overrides; a name outside `names` is a usage error."""
     out = {}
     for item in pairs or []:
         if "=" not in item:
             raise UsageError(f"bad --tol {item!r}: expected name=value")
         name, value = item.split("=", 1)
+        if name not in names:
+            raise UsageError(
+                f"unknown --tol name {name!r}; this run reads {', '.join(names)}"
+            )
         try:
             out[name] = float(value)
         except ValueError as exc:
@@ -228,7 +233,7 @@ def cmd_transport(args) -> int:
         correspondence=scenario.tolerances.correspondence,
         unitarity=scenario.tolerances.unitarity,
     )
-    tols.update(_parse_tols(args.tol))
+    tols.update(_parse_tols(args.tol, tuple(tols)))
     transport = tr.Transport.build(
         scenario.path, scenario.hamiltonian, scenario.trivialization, scenario.dt
     )
@@ -365,7 +370,7 @@ def _check_grid_sites(extents) -> None:
         )
 
 
-def _dirac_dispersion(args, report: Report, tols: dict) -> None:
+def _dirac_dispersion(args, report: Report, tols: dict, rng) -> None:
     grid = _grid_from_args(args, (64,))
     gset = fl.minkowski_gamma_set(grid.dims + 1)
     mass = args.mass
@@ -432,7 +437,7 @@ def _dirac_hermiticity(args, report: Report, tols: dict, rng) -> None:
     )
 
 
-def _dirac_dalembert(args, report: Report, tols: dict) -> None:
+def _dirac_dalembert(args, report: Report, tols: dict, rng) -> None:
     # with equal spacings the (1, 1) test mode lies on the light cone and
     # the analytic scale the errors divide by is 0
     if args.spacing:
@@ -440,9 +445,11 @@ def _dirac_dalembert(args, report: Report, tols: dict) -> None:
             "dalembert sets its spacings to (2 pi/N_t, pi/N_x) on each level; "
             "--spacing is not accepted"
         )
+    refinements = args.refine
+    if refinements < 1:
+        raise UsageError(f"dalembert needs --refine >= 1, got {refinements}")
     base = args.grid or "64,64"
     extents = tuple(int(x) for x in base.split(","))
-    refinements = max(1, args.refine)
     _check_grid_sites(tuple(n * 2**refinements for n in extents))
     errors = []
     for level in range(refinements + 1):
@@ -474,9 +481,9 @@ def _dirac_dalembert(args, report: Report, tols: dict) -> None:
         )
 
 
-def _dirac_kg(args, report: Report, tols: dict) -> None:
+def _dirac_kg(args, report: Report, tols: dict, rng) -> None:
     grid = _grid_from_args(args, (128,))
-    mass = args.mass if args.mass > 0 else 1.0
+    mass = args.mass
     k = grid.wavenumber(0, 1)
     energy = np.sqrt(k**2 + mass**2)
     x = grid.axis_coords(0)
@@ -503,9 +510,7 @@ def _dirac_kg(args, report: Report, tols: dict) -> None:
 def _dirac_wrap(args, report: Report, tols: dict, rng) -> None:
     grid = _grid_from_args(args, (16, 16))
     gset = fl.minkowski_gamma_set(grid.dims)
-    l_field = fl.random_smooth_trivialization_field(
-        grid, gset.spinor_dim, seed=args.seed if args.seed is not None else 0
-    )
+    l_field = fl.random_smooth_trivialization_field(grid, gset.spinor_dim, seed=args.seed)
     wrapped = fl.bundle_wrap(gset, grid, l_field)
     report.add(
         "wrapped-anticommutator", wrapped.anticommutator_residual(),
@@ -554,9 +559,24 @@ def _write_field_snapshot(args, grid: fl.Grid, field_obj, name: str) -> None:
             writer.writerow(coords + vals)
 
 
+# each dirac scenario: its runner and the --tol names it reads
+DIRAC_SCENARIOS = {
+    "dispersion": (_dirac_dispersion, ("drift", "fidelity")),
+    "hermiticity": (_dirac_hermiticity, ("hermiticity",)),
+    "dalembert": (_dirac_dalembert, ("grade2", "convergence")),
+    "kg-roundtrip": (_dirac_kg, ("roundtrip",)),
+    "wrap-check": (_dirac_wrap, ("wrap",)),
+}
+
+
 def cmd_dirac(args) -> int:
     scenario = args.scenario or "hermiticity"
-    tols = _parse_tols(args.tol)
+    if scenario not in DIRAC_SCENARIOS:
+        raise UsageError(
+            f"unknown dirac scenario {scenario!r}; choose from {', '.join(DIRAC_SCENARIOS)}"
+        )
+    run, tol_names = DIRAC_SCENARIOS[scenario]
+    tols = _parse_tols(args.tol, tol_names)
     rng = np.random.default_rng(args.seed)
     report = Report(
         command="dirac",
@@ -572,21 +592,7 @@ def cmd_dirac(args) -> int:
             "tolerances": tols,
         },
     )
-    if scenario == "dispersion":
-        _dirac_dispersion(args, report, tols)
-    elif scenario == "hermiticity":
-        _dirac_hermiticity(args, report, tols, rng)
-    elif scenario == "dalembert":
-        _dirac_dalembert(args, report, tols)
-    elif scenario == "kg-roundtrip":
-        _dirac_kg(args, report, tols)
-    elif scenario == "wrap-check":
-        _dirac_wrap(args, report, tols, rng)
-    else:
-        raise UsageError(
-            f"unknown dirac scenario {scenario!r}; choose from dispersion, "
-            "hermiticity, dalembert, kg-roundtrip, wrap-check"
-        )
+    run(args, report, tols, rng)
     _write_report(report, args.out, "dirac_report.json")
     return report.exit_code
 
@@ -602,13 +608,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, tol_names=None):
         p.add_argument("--out", help="directory for JSON reports and CSV series")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-        p.add_argument(
-            "--tol", action="append", metavar="NAME=VALUE",
-            help="override a named tolerance (repeatable)",
-        )
+        if tol_names:
+            p.add_argument(
+                "--tol", action="append", metavar="NAME=VALUE",
+                help=f"override a named tolerance (repeatable); names: {tol_names}",
+            )
 
     p_verify = sub.add_parser("verify", help="run the algebra identity suites")
     p_verify.add_argument(
@@ -623,13 +630,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tr = sub.add_parser("transport", help="run a transport scenario file")
     p_tr.add_argument("--scenario", required=True, help="scenario JSON path")
-    common(p_tr)
+    common(p_tr, "cocycle, correspondence, unitarity")
 
     p_di = sub.add_parser("dirac", help="run a flat-grid field scenario")
     p_di.add_argument(
         "--scenario",
         default="hermiticity",
-        help="dispersion | hermiticity | dalembert | kg-roundtrip | wrap-check",
+        help=" | ".join(DIRAC_SCENARIOS),
     )
     p_di.add_argument("--grid", help="comma-separated extents, e.g. 64,64")
     p_di.add_argument("--spacing", help="comma-separated spacings (or one for all axes)")
@@ -639,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--potential", default="zero", help="zero | constant-E | plane-wave-gauge"
     )
     p_di.add_argument("--refine", type=int, default=1, help="grid doublings for convergence studies")
-    common(p_di)
+    common(p_di, "; ".join(f"{k}: {', '.join(v[1])}" for k, v in DIRAC_SCENARIOS.items()))
     return parser
 
 

@@ -42,24 +42,13 @@ def check_dimension(n: int) -> int:
 
 @dataclass(frozen=True)
 class TransportTolerances:
-    """Default residual thresholds for evolution-transport diagnostics.
+    """Default residual thresholds for the transport checks.
 
-    The cocycle and correspondence residuals inherit the integrator error,
-    which grows linearly with the evolved duration and as dt**4 per unit
-    time.  ``scaled`` widens the defaults accordingly; the stock values
-    correspond to the qubit-scale scenarios used in the verification suite.
+    The cocycle and correspondence residuals inherit the integrator error;
+    the stock values suit the qubit-scale scenarios of the verification
+    suite, and a scenario file or ``--tol`` overrides them.
     """
 
     cocycle: float = 1e-8
     correspondence: float = 1e-6
     unitarity: float = 1e-8
-
-    @classmethod
-    def scaled(cls, dt: float, duration: float) -> "TransportTolerances":
-        # 1e2 is an empirical headroom factor over t * dt^4 for O(1) Hamiltonians.
-        integ = 1e2 * max(duration, 1.0) * dt**4
-        return cls(
-            cocycle=max(1e-12, 5.0 * integ),
-            correspondence=max(1e-8, 1e2 * integ),
-            unitarity=max(1e-12, 5.0 * integ),
-        )

@@ -30,7 +30,6 @@ __all__ = [
     "evolve",
     "rk4_step",
     "rk4_linear",
-    "transport_operator",
     "connection_coeffs",
     "path_derivation",
     "solve_bundle_schrodinger",
@@ -151,6 +150,8 @@ class Trivialization:
     @classmethod
     def from_samples(cls, path: Path, matrices) -> "Trivialization":
         mats = np.asarray(matrices, dtype=complex)
+        if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+            raise ValueError("trivialization matrices must be square")
         if mats.shape[0] != len(path.times):
             raise ValueError("need one trivialization matrix per path sample")
         dim = mats.shape[1]
@@ -172,15 +173,6 @@ class Trivialization:
         if not _well_conditioned(m):
             raise SingularTrivializationError(f"trivialization singular at t={t}")
         return np.linalg.inv(m)
-
-    def smoothness_report(self, times) -> float:
-        """Max finite-difference variation between consecutive samples (diagnostic)."""
-        mats = [self.matrix(t) for t in times]
-        diffs = [
-            np.max(np.abs(b - a)) / max(dt, 1e-300)
-            for a, b, dt in zip(mats, mats[1:], np.diff(np.asarray(times, dtype=float)))
-        ]
-        return float(max(diffs, default=0.0))
 
 
 def _check_hermitian(h: np.ndarray, label):
@@ -497,15 +489,6 @@ class Transport:
         return float(np.max(np.abs(u.conj().T @ m_t @ u - m_s)))
 
 
-def transport_operator(
-    l: Trivialization, fibre_evolution, path: Path, t: float, s: float
-) -> np.ndarray:
-    """Free-function form: l(t)^-1 @ fibre_evolution(t, s) @ l(s)."""
-    path.check_time(t)
-    path.check_time(s)
-    return l.inverse(t) @ np.asarray(fibre_evolution(t, s), dtype=complex) @ l.matrix(s)
-
-
 def _interior_time(transport: Transport, s: float, h: float):
     if h <= 0:
         raise ValueError(f"stencil step must be positive, got {h}")
@@ -627,6 +610,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         )
     except KeyError as exc:
         raise ValueError(f"scenario missing required field: {exc}") from exc
+    except (TypeError, AttributeError, OverflowError) as exc:
+        raise ValueError(f"scenario field has the wrong type or value: {exc}") from exc
     if ham.dim != dim:
         raise ValueError("hamiltonian dimension disagrees with fibre_dim")
     return Scenario(dim, path, ham, triv, dt, tol)

@@ -358,6 +358,13 @@ def test_transport_missing_field_is_config_error(tmp_path):
     assert main(["transport", "--scenario", str(scenario)]) == 2
 
 
+def test_transport_field_of_the_wrong_type_is_config_error(tmp_path, capsys):
+    data = qubit_scenario_dict()
+    data["path"] = []
+    assert main(["transport", "--scenario", write_scenario(tmp_path, data)]) == 2
+    assert "wrong type" in capsys.readouterr().err
+
+
 def test_transport_tolerance_override_can_fail(tmp_path):
     scenario = write_scenario(tmp_path, qubit_scenario_dict())
     code = main(
@@ -426,6 +433,75 @@ def test_dirac_potential_presets_run(tmp_path):
 
 def test_bad_tol_flag_is_usage_error():
     assert main(["dirac", "--scenario", "hermiticity", "--tol", "oops"]) == 2
+
+
+@pytest.mark.parametrize("mass", ["-2", "0"])
+def test_dirac_kg_roundtrip_rejects_a_mass_that_is_not_positive(mass, capsys):
+    assert main(["dirac", "--scenario", "kg-roundtrip", "--grid", "16", "--mass", mass]) == 2
+    assert "m > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("refine", ["0", "-1"])
+def test_dirac_dalembert_rejects_refine_below_one(refine, capsys):
+    argv = ["dirac", "--scenario", "dalembert", "--grid", "8,8", "--refine", refine]
+    assert main(argv) == 2
+    assert "--refine >= 1" in capsys.readouterr().err
+
+
+# the README's --tol table, with a small grid per scenario so each case runs fast
+DIRAC_TOL_NAMES = [
+    ("dispersion", "drift", "16"),
+    ("dispersion", "fidelity", "16"),
+    ("hermiticity", "hermiticity", "8,8"),
+    ("dalembert", "grade2", "8,8"),
+    ("dalembert", "convergence", "8,8"),
+    ("kg-roundtrip", "roundtrip", "16"),
+    ("wrap-check", "wrap", "4,4"),
+]
+
+
+def test_dirac_tol_table_lists_every_scenario():
+    assert {s for s, _, _ in DIRAC_TOL_NAMES} == set(cli.DIRAC_SCENARIOS)
+    for scenario, (_, names) in cli.DIRAC_SCENARIOS.items():
+        assert set(names) == {n for s, n, _ in DIRAC_TOL_NAMES if s == scenario}
+
+
+@pytest.mark.parametrize("scenario, name, grid", DIRAC_TOL_NAMES)
+def test_every_listed_dirac_tol_name_is_read(scenario, name, grid):
+    # no residual is below -1, so a name the scenario reads fails a check
+    argv = ["dirac", "--scenario", scenario, "--grid", grid, "--tol", f"{name}=-1"]
+    assert main(argv) == 1
+
+
+@pytest.mark.parametrize("name", ["cocycle", "correspondence", "unitarity"])
+def test_every_transport_tol_name_is_read(tmp_path, name):
+    scenario = write_scenario(tmp_path, qubit_scenario_dict())
+    assert main(["transport", "--scenario", scenario, "--tol", f"{name}=-1"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, valid",
+    [
+        (["dirac", "--scenario", "hermiticity", "--tol", "hermiticty=1e-30"], "hermiticity"),
+        (["dirac", "--scenario", "dispersion", "--grid", "16", "--tol", "wrap=1"], "drift, fidelity"),
+        (["transport", "--scenario", "QUBIT", "--tol", "drift=1"],
+         "cocycle, correspondence, unitarity"),
+    ],
+)
+def test_unknown_tol_name_is_usage_error(tmp_path, argv, valid, capsys):
+    qubit = write_scenario(tmp_path, qubit_scenario_dict())
+    assert main([qubit if a == "QUBIT" else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert "unknown --tol name" in err and valid in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "--signature", "1,1"], ["spinor-rep", "--signature", "1,1"]]
+)
+def test_tol_is_not_an_option_of_commands_that_read_none(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--tol", "x=1"])
+    assert exc.value.code == 2
 
 
 def test_relation_tags_present_everywhere(tmp_path):

@@ -1,8 +1,13 @@
+import copy
+import json
 import math
 import tracemalloc
+from pathlib import Path as FsPath
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clifbundle.transport import (
     HamiltonianSpec,
@@ -20,7 +25,6 @@ from clifbundle.transport import (
     rk4_linear,
     scenario_from_dict,
     solve_bundle_schrodinger,
-    transport_operator,
 )
 
 QUBIT_H = np.diag([1.0, -1.0]).astype(complex)
@@ -251,17 +255,6 @@ def test_pure_gauge_transport_is_trivialization_product():
     t, s = 0.9, 0.2
     expected = np.linalg.inv(l.matrix(t)) @ l.matrix(s)
     assert np.max(np.abs(tr.operator(t, s) - expected)) <= 1e-12
-
-
-def test_transport_free_function_matches_method(gauged_transport):
-    got = transport_operator(
-        gauged_transport.trivialization,
-        gauged_transport.fibre_evolution,
-        gauged_transport.path,
-        1.0,
-        0.0,
-    )
-    assert np.array_equal(got, gauged_transport.operator(1.0, 0.0))
 
 
 def test_transport_unitary_in_conjugated_inner_product(gauged_transport):
@@ -565,19 +558,84 @@ def test_scenario_rejects_unknown_hamiltonian_type():
         scenario_from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "changes",
+    [{"path": []}, {"hamiltonian": "constant"}, {"dt": None}, {"tolerances": [1e-8]},
+     {"fibre_dim": math.inf}, None],
+    ids=["path", "hamiltonian", "dt", "tolerances", "fibre_dim", "top-level-list"],
+)
+def test_scenario_field_of_the_wrong_type_is_rejected(changes):
+    data = [1, 2] if changes is None else {**qubit_scenario_dict(), **changes}
+    with pytest.raises(ValueError, match="wrong type"):
+        scenario_from_dict(data)
+
+
+def test_tabulated_trivialization_needs_square_matrices():
+    data = qubit_scenario_dict()
+    data["trivialization"] = {"type": "tabulated", "matrices": [1, 2, 3]}
+    with pytest.raises(ValueError, match="square"):
+        scenario_from_dict(data)
+
+
+SCENARIO_FILES = {
+    name: json.loads((FsPath(__file__).resolve().parents[1] / "scenarios" / name).read_text())
+    for name in ("qubit.json", "qubit_gauged.json")
+}
+
+# Integer and float atoms stay within +-100 and strings within 3 characters,
+# so a drawn fibre_dim cannot ask numpy for a huge zero Hamiltonian.
+JSON_ATOMS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-100, 100)
+    | st.floats(-100, 100)
+    | st.sampled_from([math.nan, math.inf, -math.inf])
+    | st.text(max_size=3)
+)
+JSON_VALUES = JSON_ATOMS | st.recursive(
+    JSON_ATOMS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+def mutate(data, doc) -> None:
+    """Drop one key or element of doc, or replace it by random JSON.
+
+    The walk stops at each level with probability 1/2, so top-level fields
+    are hit as often as deep matrix entries.
+    """
+    node = doc
+    while True:
+        key = data.draw(st.sampled_from(list(node.keys()) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+            node = child
+        elif data.draw(st.booleans()):
+            del node[key]
+            return
+        else:
+            node[key] = data.draw(JSON_VALUES)
+            return
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_FILES))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_scenario_parses_or_raises_value_error(name, data):
+    doc = copy.deepcopy(SCENARIO_FILES[name])
+    for _ in range(data.draw(st.integers(1, 3))):
+        if doc:
+            mutate(data, doc)
+    try:
+        scenario_from_dict(doc)
+    except ValueError:
+        pass
+
+
 def test_polynomial_hamiltonian_spec():
     spec = HamiltonianSpec.polynomial([np.eye(2), 2.0 * np.eye(2)])
     assert np.allclose(spec.matrix(0.5), 2.0 * np.eye(2))
-
-
-def test_trivialization_smoothness_diagnostic():
-    l = rotation_trivialization(0.4)
-    variation = l.smoothness_report(np.linspace(0.0, 1.0, 11))
-    assert variation <= 0.4 * 1.01  # rate-bounded rotation
-    rough = Trivialization.from_time_function(
-        2, lambda t: np.eye(2) * (1.0 + (t > 0.5))
-    )
-    assert rough.smoothness_report(np.linspace(0.0, 1.0, 11)) > 1.0
 
 
 def test_trivialization_from_base_point_function():
@@ -591,13 +649,3 @@ def test_trivialization_from_base_point_function():
     assert np.allclose(l.matrix(0.75), l_of_x([0.75, 1.5]))
     tr = Transport.build(path, HamiltonianSpec.constant(QUBIT_H), l, dt=1e-3)
     assert tr.cocycle_residual(1.0, 0.6, 0.2) <= 1e-8
-
-
-def test_tolerance_scaling_helper():
-    from clifbundle.config import TransportTolerances
-
-    tight = TransportTolerances.scaled(dt=1e-4, duration=1.0)
-    loose = TransportTolerances.scaled(dt=1e-2, duration=10.0)
-    assert tight.cocycle < loose.cocycle
-    assert tight.correspondence <= loose.correspondence
-    assert loose.cocycle >= 5e2 * 10.0 * 1e-8 * 0.999  # 5 * headroom * t * dt^4
