@@ -38,7 +38,6 @@ from .spinor import (
     gamma_set_for_signature,
     minimal_ideal_dimension,
     minimal_left_ideal,
-    orthogonalize_gammas,
     regular_rep,
     sigma_generators,
     spinor_cov_deriv,

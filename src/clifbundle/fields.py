@@ -6,11 +6,12 @@ transport module's RK4 scheme: transport.rk4_linear steps the whole grid,
 and a Dirac field whose coupling e A is the same at every site is stepped
 one Fourier mode at a time instead (_evolve_modes), with each mode's RK4
 step matrix raised to the number of steps.  The Minkowski gamma
-sets are manufactured from the exact algebra-level representations: the
-1+1 case uses the Cl(1,1) matrices directly, the 3+1 case rescales the
-orthogonalized Cl(3,1) set so the metric becomes diag(+1,-1,-1,-1) with
-time as index 0; the -i of the momentum operator lives in the complex
-scalars, not in the (real) algebra.
+sets are the exact algebra-level representations read as floats, with no
+change of basis: the 1+1 case uses the Cl(1,1) matrices directly, the 3+1
+case multiplies the Cl(3,1) set by i so the metric becomes
+diag(+1,-1,-1,-1) with time as index 0; the -i of the momentum operator
+lives in the complex scalars, not in the (real) algebra.  A set that fails
+its anticommutator or Hermiticity gate raises spinor.ClosureError.
 
 Known discretization caveat: the naive central-difference Dirac operator
 exhibits fermion doubling; tests and shipped scenarios use smooth
@@ -28,11 +29,11 @@ import numpy as np
 
 from .ga import Signature
 from .spinor import (
+    ClosureError,
     GammaSet,
     anticommutator_residual,
     gamma_products,
     gamma_set_for_signature,
-    orthogonalize_gammas,
 )
 from .transport import _step_grid, rk4_linear, rk4_step
 
@@ -253,24 +254,22 @@ class FieldGammaSet:
 def minkowski_gamma_set(spacetime_dim: int) -> FieldGammaSet:
     """Field-convention gamma set built from the algebra-level representation.
 
-    1+1: the orthogonalized Cl(1,1) matrices already realize diag(+1,-1).
-    3+1: the orthogonalized Cl(3,1) matrices (metric diag(+,+,+,-)) are
-    multiplied by i and reordered so the timelike direction comes first,
-    which flips every square and lands on diag(+1,-1,-1,-1).
+    1+1: the Cl(1,1) matrices, read as floats, realize diag(+1,-1).
+    3+1: the Cl(3,1) matrices (metric diag(+,+,+,-)) are multiplied by i and
+    reordered so the timelike direction comes first, which flips every
+    square and lands on diag(+1,-1,-1,-1).  A failed gate raises ClosureError.
     """
-    if spacetime_dim == 2:
-        base = orthogonalize_gammas(gamma_set_for_signature(Signature(1, 1)))
-        gammas = [base[0].astype(complex), base[1].astype(complex)]
-        eta = (1, -1)
-    elif spacetime_dim == 4:
-        base = orthogonalize_gammas(gamma_set_for_signature(Signature(3, 1)))
-        gammas = [1j * base[3]] + [1j * base[j] for j in range(3)]
-        eta = (1, -1, -1, -1)
-    else:
+    if spacetime_dim not in (2, 4):
         raise ValueError(f"spacetime_dim must be 2 or 4, got {spacetime_dim}")
+    sig = Signature(1, 1) if spacetime_dim == 2 else Signature(3, 1)
+    base = [np.array(g, dtype=float) for g in gamma_set_for_signature(sig).gammas]
+    if spacetime_dim == 2:
+        gammas, eta = [g.astype(complex) for g in base], (1, -1)
+    else:
+        gammas, eta = [1j * base[3]] + [1j * g for g in base[:3]], (1, -1, -1, -1)
     out = FieldGammaSet(spacetime_dim, eta, gammas)
     if out.anticommutator_residual() > 1e-12 or out.hermiticity_residual() > 1e-12:
-        raise RuntimeError("constructed gamma set failed its defining relations")
+        raise ClosureError("constructed gamma set failed its defining relations")
     return out
 
 

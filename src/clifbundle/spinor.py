@@ -1,22 +1,19 @@
-"""Spinor representations of Cl(p,q) via minimal left ideals.
+"""Spinor representations of Cl(p,q) via minimal left ideals, exactly.
 
-The regular representation acts on the 2^n blade basis.  The primitive
-idempotent f multiplies, in ascending mask order, factors (1 + e_A)/2 of
-commuting +1-square blades outside f's support, and stops at the
-classified minimal ideal dimension; C and H keep f = 1.  It never squares
-f (commuting idempotents multiply to idempotents), so a caller's f f = f
-check tests it.  spinor_representation runs idempotent -> left ideal
-Cl f -> gammas.  The ideal's basis, e_b f with one b per coset of f's
-blade support, has disjoint supports and so is in reduced row echelon
-form; the gamma matrices are read off, not solved for: the coordinates
-of e^mu w are its entries at the basis' pivot masks, and each image is
-confirmed by exact reconstruction, which also proves the ideal closed.
-Everything in this module is exact, so that the defining anticommutation
-relations are checked as equalities.  The construction runs over Fractions.
-Each GammaSet also holds one integer form, N^mu = D g^mu with D the lcm of
-the entry denominators, over Python ints (no overflow).  Its products
-N^mu N^nu are formed once, at scale D^2, and the anticommutator and sigma
-checks run on them in integers; residuals come back as Fractions.
+The primitive idempotent f multiplies, in ascending mask order, factors
+(1 + e_A)/2 of commuting +1-square blades outside f's support, and stops at
+the classified minimal ideal dimension; C and H keep f = 1.  It never
+squares f, so a caller's f f = f check tests it.  spinor_representation
+runs idempotent -> left ideal Cl f -> gammas.  The ideal's basis, e_b f with
+one b per coset of f's blade support, is in reduced row echelon form, so the
+gammas are read off at its pivot masks; each image is confirmed by exact
+reconstruction, which also proves the ideal closed.  The construction runs
+over Fractions.  Each GammaSet holds one integer form, N^mu = D g^mu with D
+the lcm of the entry denominators, over Python ints; the anticommutator and
+sigma checks run on the products N^mu N^nu, formed once, and return
+Fractions.  verify_iso_table reads every expected value from one (p - q)
+mod 8 table of types, R(m), R(m)+R(m), C(m), H(m) or H(m)+H(m), and
+certifies the span of the blade images by their rank modulo a prime.
 """
 
 from __future__ import annotations
@@ -173,13 +170,21 @@ def minimal_left_ideal(f: Multivector, metric: Metric) -> list[Multivector]:
         clifford(blade(h), f, metric) not in (f, -f) for h in group
     ):
         raise ValueError("no coset basis: e_h f = +-f must hold for every blade h in f's support")
-    basis, covered = [], set()
+    basis = []
+    for b in coset_representatives(group, n):
+        w = clifford(blade(b), f, metric)
+        basis.append(w * (1 / Fraction(w.coeff(b))))
+    return basis
+
+
+def coset_representatives(group, n: int) -> list[int]:
+    """The lowest mask b of each coset b + H of a blade group H (masks under xor)."""
+    reps, covered = [], set()
     for b in range(1 << n):
         if b not in covered:
             covered.update(b ^ h for h in group)
-            w = clifford(blade(b), f, metric)
-            basis.append(w * (1 / Fraction(w.coeff(b))))
-    return basis
+            reps.append(b)
+    return reps
 
 
 # ---------------------------------------------------------------------------
@@ -304,17 +309,59 @@ def gamma_set_for_signature(sig: Signature) -> GammaSet:
     return gs
 
 
+# below 2^26, so an int64 sum of up to 2^11 products of two residues cannot overflow
+SPAN_PRIME = 67_108_859
+
+
+def _blade_images(factors, reduce=lambda m: m) -> list[np.ndarray]:
+    """M_A = M^{a_1} (M^{a_2} ... M^{a_k}) for every mask A, one product per blade."""
+    images = [np.eye(factors[0].shape[0], dtype=factors[0].dtype)]
+    for mask in range(1, 1 << len(factors)):
+        low = (mask & -mask).bit_length() - 1
+        images.append(reduce(factors[low] @ images[mask & (mask - 1)]))
+    return images
+
+
 def algebra_span_dimension(gamma_set: GammaSet) -> int:
-    """Dimension of the matrix span of all blade products of the gammas."""
-    n = gamma_set.n
-    dim = gamma_set.dim
-    rows = []
-    for mask in basis_blades(n):
-        mat = exact.identity(dim)
-        for i in mask_indices(mask):
-            mat = mat @ gamma_set.gammas[i - 1]
-        rows.append(np.ravel(mat))
-    return exact.rank(np.stack(rows, axis=0))
+    """Dimension of the matrix span of all 2^n blade products of the gammas, exact.
+
+    The blade images of the integer gammas N^mu = D g^mu, reduced mod a
+    prime, are eliminated in int64.  Their rank mod p is at most their rank
+    over Q, which is at most both the matrix shape and the number of
+    distinct lines the exact images lie on; a rank mod p that reaches
+    either bound is the span.  Otherwise the exact rank of the images decides.
+    """
+    residues = [(num % SPAN_PRIME).astype(np.int64) for num in gamma_set.numerators]
+    images = _blade_images(residues, lambda m: m % SPAN_PRIME)
+    rows = np.stack([m.ravel() for m in images])
+    rank = _rank_mod_prime(rows)
+    if rank == min(rows.shape):
+        return rank
+    lines = {}
+    for image in _blade_images(gamma_set.numerators):
+        row = image.ravel()
+        support = np.flatnonzero(row)
+        if support.size:
+            scale = math.gcd(*row[support]) * (1 if row[support[0]] > 0 else -1)
+            lines.setdefault(tuple(row // scale), row)
+    if rank == len(lines):
+        return rank
+    return exact.rank(np.stack(list(lines.values())))
+
+
+def _rank_mod_prime(m: np.ndarray) -> int:
+    """Rank over GF(SPAN_PRIME) of an int64 matrix of residues; eliminates in place."""
+    r = 0
+    for c in range(m.shape[1]):
+        if r == m.shape[0]:
+            break
+        rows = r + np.flatnonzero(m[r:, c])
+        if rows.size:
+            m[[r, rows[0]]] = m[[rows[0], r]]
+            factors = m[rows[1:], c] * pow(int(m[r, c]), -1, SPAN_PRIME) % SPAN_PRIME
+            m[rows[1:]] = (m[rows[1:]] - np.outer(factors, m[r])) % SPAN_PRIME
+            r += 1
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -385,58 +432,86 @@ def spinor_lie_deriv(coeffs, x_dpsi, psi, sigmas: SigmaSet):
 
 
 # ---------------------------------------------------------------------------
-# representation orthogonalization (group averaging)
-
-
-def orthogonalize_gammas(gamma_set: GammaSet) -> list[np.ndarray]:
-    """Conjugate the representation so every blade matrix becomes orthogonal.
-
-    Averages M^T M over the finite group generated by the gammas; the
-    Cholesky factor of the invariant form supplies the change of basis.
-    Matrices squaring to +1 come out symmetric, squares -1 antisymmetric.
-    """
-    gs = [np.array(g, dtype=float) for g in gamma_set.gammas]
-    dim = gamma_set.dim
-    s = np.zeros((dim, dim))
-    for mask in basis_blades(gamma_set.n):
-        mat = np.eye(dim)
-        for i in mask_indices(mask):
-            mat = mat @ gs[i - 1]
-        s += mat.T @ mat
-    lower = np.linalg.cholesky(s)
-    lt = lower.T
-    lt_inv = np.linalg.inv(lt)
-    out = [lt @ g @ lt_inv for g in gs]
-    for g in out:
-        if np.max(np.abs(g.T @ g - np.eye(dim))) > 1e-10:
-            raise ClosureError("orthogonalization failed to produce orthogonal matrices")
-    return out
-
-
-# ---------------------------------------------------------------------------
 # isomorphism table verification
+
+# (p - q) mod 8 -> the type of Cl(p,q) as a real algebra, K(m) or K(m)+K(m)
+# (Lounesto, chs. 16-17; the mod 8 periodicity of Atiyah, Bott and Shapiro)
+ALGEBRA_TYPES = ("R", "R+R", "R", "C", "H", "H+H", "H", "C")
+DIVISION_DIM = {"R": 1, "C": 2, "H": 4}
+REFERENCE_SIGNATURES = ((0, 1), (0, 2), (1, 1), (2, 0), (3, 1), (1, 3))
+
+
+def algebra_type(sig: Signature) -> tuple[str, int, int, int]:
+    """(type, dim_R K, ideal, span) of Cl(p,q), read from the table alone.
+
+    span = dim_R K(m), the span of the blade images on one minimal ideal
+    (2^n, or 2^(n-1) for a double type); ideal = dim_R K^m = sqrt(dim_R K * span).
+    """
+    kind = ALGEBRA_TYPES[(sig.p - sig.q) % 8]
+    division = DIVISION_DIM[kind[0]]
+    span = (1 << sig.n) // len(kind.split("+"))
+    ideal = math.isqrt(division * span)
+    return kind.replace(kind[0], f"{kind[0]}({ideal // division})"), division, ideal, span
+
+
+def sandwich_rank(f: Multivector, metric: Metric) -> int:
+    """Exact rank of {f e_b f}, one b per coset of f's blade support: dim_R f Cl f.
+
+    With e_h f = +-f for h in the support (as minimal_left_ideal requires),
+    every f e_A f is +- one of these.
+    """
+    n = f.n
+    sandwiches = [
+        clifford(clifford(f, Multivector(n, {b: Fraction(1)}), metric), f, metric)
+        for b in coset_representatives(f.terms, n)
+    ]
+    masks = sorted(set().union(*(s.terms for s in sandwiches)))
+    return exact.rank(exact.frac_matrix([[s.coeff(m) for m in masks] for s in sandwiches]))
+
+
+def classification_rows(sig: Signature) -> list[Check]:
+    """Four rows for one signature, each expected value read from algebra_type."""
+    kind, division, ideal, span = algebra_type(sig)
+    name = f"cl{sig.p}{sig.q}"
+    report, gamma_set = spinor_representation(sig)
+    # matrices of a basis that is not a left ideal represent nothing
+    closed = gamma_set.closure_failures == 0
+    residual = gamma_set.anticommutator_residuals()
+    rank = sandwich_rank(report.idempotent, sig.metric())
+    found = algebra_span_dimension(gamma_set)
+    return [
+        Check.boolean(
+            f"{name}-minimal-ideal", report.ideal_dimension == gamma_set.dim == ideal,
+            f"minimal left ideal of {sig} has dimension {ideal}",
+            details=report.note,
+        ),
+        Check.boolean(
+            f"{name}-primitive", rank == division,
+            f"{sig} = {kind}, so f Cl f = {kind[0]}: rank{{f e_b f}} = {division}",
+            details=f"rank {rank}, one b per coset of f's support (exact)",
+        ),
+        Check(
+            name=f"{name}-gamma-relations", passed=closed and residual == 0,
+            residual=float(residual), tolerance=0.0,
+            relation="g^mu g^nu + g^nu g^mu = 2 g^{mu nu} I (exact)",
+        ),
+        Check.boolean(
+            f"{name}-blade-span", closed and found == span,
+            f"the 2^n blade images span {span} = dim_R {kind.split('+')[0]}",
+            details=f"span dimension {found} of {span}",
+        ),
+    ]
 
 
 def _quaternion_checks() -> Check:
-    sig = Signature(0, 2)
-    metric = sig.metric()
-    n = 2
-    one = Multivector.scalar(Fraction(1), n)
-    i = Multivector.basis_vector(1, n, Fraction(1))
-    j = Multivector.basis_vector(2, n, Fraction(1))
-    k = clifford(i, j, metric)
+    metric = Signature(0, 2).metric()
     mul = lambda a, b: clifford(a, b, metric)
-    ok = (
-        mul(i, i) == -one
-        and mul(j, j) == -one
-        and mul(k, k) == -one
-        and mul(i, j) == k
-        and mul(j, k) == i
-        and mul(k, i) == j
-        and mul(i, j) == -mul(j, i)
-        and mul(j, k) == -mul(k, j)
-        and mul(k, i) == -mul(i, k)
-        and mul(mul(i, j), k) == -one
+    minus_one = Multivector.scalar(Fraction(-1), 2)
+    i, j = (Multivector.basis_vector(a, 2, Fraction(1)) for a in (1, 2))
+    k = mul(i, j)
+    ok = mul(mul(i, j), k) == minus_one and all(
+        mul(a, a) == minus_one and mul(a, b) == c == -mul(b, a)
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
     )
     return Check.boolean(
         "cl02-quaternion-table",
@@ -446,133 +521,45 @@ def _quaternion_checks() -> Check:
     )
 
 
-def _matrix_algebra_check(sig: Signature, expected_ideal_dim: int) -> list[Check]:
-    rows = []
-    name = f"cl{sig.p}{sig.q}"
-    algebra_dim = 1 << sig.n
-    matrix_dim = expected_ideal_dim**2
-    rows.append(
-        Check.boolean(
-            f"{name}-dimension",
-            algebra_dim == matrix_dim,
-            f"2^n = (matrix side)^2 for {sig}",
-            details=f"dim Cl = {algebra_dim}, dim M_{expected_ideal_dim}(R) = {matrix_dim}",
-        )
-    )
-    report, gamma_set = spinor_representation(sig)
-    rows.append(
-        Check.boolean(
-            f"{name}-minimal-ideal",
-            report.ideal_dimension == expected_ideal_dim,
-            f"minimal left ideal of {sig} has dimension {expected_ideal_dim}",
-            details=report.note,
-        )
-    )
-    # matrices of a basis that is not a left ideal represent nothing
-    closed = gamma_set.closure_failures == 0
-    residual = gamma_set.anticommutator_residuals()
-    rows.append(
-        Check(
-            name=f"{name}-gamma-relations",
-            passed=closed and residual == 0,
-            residual=float(residual),
-            tolerance=0.0,
-            relation="g^mu g^nu + g^nu g^mu = 2 g^{mu nu} I (exact)",
-        )
-    )
-    span = algebra_span_dimension(gamma_set)
-    rows.append(
-        Check.boolean(
-            f"{name}-full-matrix-span",
-            closed and span == matrix_dim,
-            f"blade images span all of M_{expected_ideal_dim}(R)",
-            details=f"span dimension {span} of {matrix_dim}",
-        )
-    )
-    return rows
-
-
-def _division_algebra_check(sig: Signature, algebra_name: str) -> list[Check]:
-    report = find_primitive_idempotent(sig)
-    return [
-        Check.boolean(
-            f"cl{sig.p}{sig.q}-division-algebra",
-            report.whole_algebra,
-            f"{sig} is a division algebra ({algebra_name}): minimal ideal is the whole algebra",
-            details=report.note,
-        )
-    ]
-
-
 def _even_subalgebra_checks() -> list[Check]:
-    sig = Signature(3, 1)
-    metric = sig.metric()
-    n = 4
-    even_masks = [m for m in basis_blades(n) if grade_of_mask(m) % 2 == 0]
-    rows = [
-        Check.boolean(
-            "cl31-even-dimension",
-            len(even_masks) == 8,
-            "even subalgebra of Cl(3,1) has dimension 2^(n-1) = 8 = dim_R M_2(C)",
-            details=f"counted {len(even_masks)} even blades",
-        )
-    ]
-    omega = Multivector(n, {0b1111: Fraction(1)})
+    metric = Signature(3, 1).metric()
+    blade = lambda mask: Multivector(4, {mask: Fraction(1)})
+    even_masks = [m for m in basis_blades(4) if grade_of_mask(m) % 2 == 0]
+    omega = blade(0b1111)
     sq = clifford(omega, omega, metric)
     central = all(
-        clifford(omega, Multivector(n, {m: Fraction(1)}), metric)
-        == clifford(Multivector(n, {m: Fraction(1)}), omega, metric)
-        for m in even_masks
-    )
-    rows.append(
-        Check.boolean(
-            "cl31-even-central-imaginary",
-            sq == Multivector.scalar(Fraction(-1), n) and central,
-            "e1234 squares to -1 and is central in the even subalgebra",
-            details=f"omega^2 = {sq}",
-        )
+        clifford(omega, blade(m), metric) == clifford(blade(m), omega, metric) for m in even_masks
     )
     # closure of the even part under the product
     closed = all(
         grade_of_mask(mask) % 2 == 0
         for ma in even_masks
         for mb in even_masks
-        for mask in clifford(
-            Multivector(n, {ma: Fraction(1)}), Multivector(n, {mb: Fraction(1)}), metric
-        ).terms
+        for mask in clifford(blade(ma), blade(mb), metric).terms
     )
-    rows.append(
+    return [
         Check.boolean(
-            "cl31-even-closed",
-            closed,
-            "the even subalgebra is closed under the Clifford product",
-        )
-    )
-    return rows
+            "cl31-even-dimension",
+            len(even_masks) == 8,
+            "even subalgebra of Cl(3,1) has dimension 2^(n-1) = 8 = dim_R M_2(C)",
+            details=f"counted {len(even_masks)} even blades",
+        ),
+        Check.boolean(
+            "cl31-even-central-imaginary",
+            sq == Multivector.scalar(Fraction(-1), 4) and central,
+            "e1234 squares to -1 and is central in the even subalgebra",
+            details=f"omega^2 = {sq}",
+        ),
+        Check.boolean(
+            "cl31-even-closed", closed, "the even subalgebra is closed under the Clifford product"
+        ),
+    ]
 
 
 def verify_iso_table(signatures=None) -> list[Check]:
-    """Machine-check the classical low-dimensional algebra identifications."""
-    rows: list[Check] = []
-    rows.extend(_division_algebra_check(Signature(0, 1), "C"))
-    rows.append(_quaternion_checks())
-    rows.extend(_division_algebra_check(Signature(0, 2), "H"))
-    rows.extend(_matrix_algebra_check(Signature(1, 1), 2))
-    rows.extend(_matrix_algebra_check(Signature(2, 0), 2))
-    rows.extend(_matrix_algebra_check(Signature(3, 1), 4))
-    rows.extend(_even_subalgebra_checks())
-    if signatures:
-        wanted = {(s.p, s.q) if isinstance(s, Signature) else tuple(s) for s in signatures}
-        extra_rows = []
-        if (1, 3) in wanted:
-            report = find_primitive_idempotent(Signature(1, 3))
-            extra_rows.append(
-                Check.boolean(
-                    "cl13-quaternionic-ideal",
-                    report.ideal_dimension == 8,
-                    "Cl(1,3) = H(2): minimal ideal has real dimension 8",
-                    details=report.note,
-                )
-            )
-        rows.extend(extra_rows)
+    """Classification rows for each (p, q) (default REFERENCE_SIGNATURES), plus
+    the quaternion table of Cl(0,2) and the even subalgebra of Cl(3,1)."""
+    rows = [_quaternion_checks(), *_even_subalgebra_checks()]
+    for p, q in signatures or REFERENCE_SIGNATURES:
+        rows.extend(classification_rows(Signature(p, q)))
     return rows

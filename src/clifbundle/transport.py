@@ -566,9 +566,15 @@ class Scenario:
     tolerances: TransportTolerances
 
 
+# one evolve block peaks near 6.2 KB * fibre_dim^2 (tracemalloc: 96.5 MiB at 128)
+MAX_FIBRE_DIM = 128
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     try:
         dim = int(data["fibre_dim"])
+        if not 1 <= dim <= MAX_FIBRE_DIM:
+            raise ValueError(f"fibre_dim must be in [1, {MAX_FIBRE_DIM}], got {dim}")
         path = Path.from_samples([(s["t"], s["x"]) for s in data["path"]["samples"]])
         ham_spec = data.get("hamiltonian", {"type": "zero"})
         kind = ham_spec.get("type", "zero")

@@ -13,7 +13,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from clifbundle import exact
+from clifbundle import exact, spinor
 from clifbundle.cli import main as cli_main
 from clifbundle.fields import (
     EMPotential,
@@ -40,6 +40,7 @@ from clifbundle.spinor import (
     algebra_span_dimension,
     find_primitive_idempotent,
     gamma_set_for_signature,
+    minimal_ideal_dimension,
     sigma_generators,
     verify_iso_table,
 )
@@ -100,17 +101,28 @@ def test_criterion_02_algebra_dimensions():
                 assert len(basis_blades(n, q)) == comb(n, q)
 
 
-def test_criterion_03_isomorphism_table():
-    with Budget("3 isomorphism table", 5.0):
-        rows = {r.name: r for r in verify_iso_table()}
+def test_criterion_03_isomorphism_table(monkeypatch):
+    # every signature with p+q <= 8, each expected value from the type table
+    sigs = [Signature(p, n - p) for n in range(1, 9) for p in range(n + 1)]
+    # keep each gamma set the rows are built from
+    built, representation = {}, spinor.spinor_representation
+
+    def keep(sig):
+        built[sig] = representation(sig)
+        return built[sig]
+
+    monkeypatch.setattr(spinor, "spinor_representation", keep)
+    with Budget("3 isomorphism table p+q <= 8", 5.0):
+        rows = {r.name: r for r in verify_iso_table([(s.p, s.q) for s in sigs])}
         assert rows["cl02-quaternion-table"].passed
-        assert rows["cl11-full-matrix-span"].passed   # spans dim 4
-        assert rows["cl31-full-matrix-span"].passed   # spans dim 16
         assert rows["cl31-even-dimension"].passed     # dim 8
         assert rows["cl31-even-central-imaginary"].passed
+        assert len(rows) == 4 + 4 * len(sigs)
         assert all(r.passed for r in rows.values()), [
             n for n, r in rows.items() if not r.passed
         ]
+        # the construction's own stop agrees with the table's ideal dimension
+        assert all(built[s][1].dim == minimal_ideal_dimension(s) for s in sigs)
         # the span dimensions themselves, recomputed exactly
         assert algebra_span_dimension(gamma_set_for_signature(Signature(1, 1))) == 4
         assert algebra_span_dimension(gamma_set_for_signature(Signature(3, 1))) == 16

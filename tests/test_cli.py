@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from clifbundle import cli, exact
+from clifbundle import transport as tr
 from clifbundle import spinor as sp
 from clifbundle.cli import main
 from clifbundle.ga import Multivector, Signature, clifford
@@ -129,13 +130,27 @@ def test_verify_closure_failure_is_a_law_failure(tmp_path, scalar_in_ideal):
     status = statuses(load_report(tmp_path, "verify_report.json"))
     for tag in ("cl11", "cl20", "cl31"):
         assert status[f"{tag}-gamma-relations"] == "fail"
-        assert status[f"{tag}-full-matrix-span"] == "fail"
+        assert status[f"{tag}-blade-span"] == "fail"
 
 
 def test_closure_failure_behind_field_gammas_is_a_numerical_fault(
     tmp_path, capsys, scalar_in_ideal
 ):
     # the dirac scenarios need a representation; without one they cannot run
+    assert main(["dirac", "--scenario", "hermiticity", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith("error: numerical fault: ")
+    assert not (tmp_path / "dirac_report.json").exists()
+
+
+def test_field_gamma_gate_failure_is_a_numerical_fault(tmp_path, capsys, monkeypatch):
+    # conjugating by diag(1, 2, ...) keeps the anticommutators but breaks Hermiticity
+    def skewed(sig):
+        gs = sp.gamma_set_for_signature(sig)
+        s = np.diag([F(k + 1) for k in range(gs.dim)]).astype(object)
+        s_inv = np.diag([F(1, k + 1) for k in range(gs.dim)]).astype(object)
+        return dataclasses.replace(gs, gammas=[s @ g @ s_inv for g in gs.gammas])
+
+    monkeypatch.setattr(cli.fl, "gamma_set_for_signature", skewed)
     assert main(["dirac", "--scenario", "hermiticity", "--out", str(tmp_path)]) == 3
     assert capsys.readouterr().err.startswith("error: numerical fault: ")
     assert not (tmp_path / "dirac_report.json").exists()
@@ -358,6 +373,15 @@ def test_transport_missing_field_is_config_error(tmp_path):
     assert main(["transport", "--scenario", str(scenario)]) == 2
 
 
+@pytest.mark.parametrize("dim", [0, "MAX + 1"])
+def test_transport_fibre_dim_out_of_bounds_is_config_error(tmp_path, capsys, dim):
+    data = qubit_scenario_dict()
+    del data["hamiltonian"]
+    data["fibre_dim"] = tr.MAX_FIBRE_DIM + 1 if dim == "MAX + 1" else dim
+    assert main(["transport", "--scenario", write_scenario(tmp_path, data)]) == 2
+    assert "fibre_dim must be in [1, " in capsys.readouterr().err
+
+
 def test_transport_field_of_the_wrong_type_is_config_error(tmp_path, capsys):
     data = qubit_scenario_dict()
     data["path"] = []
@@ -450,7 +474,8 @@ def test_dirac_dalembert_rejects_refine_below_one(refine, capsys):
 
 # the README's --tol table, with a small grid per scenario so each case runs fast
 DIRAC_TOL_NAMES = [
-    ("dispersion", "drift", "16"),
+    ("dispersion", "norm-drift", "16"),
+    ("dispersion", "momentum-drift", "16"),
     ("dispersion", "fidelity", "16"),
     ("hermiticity", "hermiticity", "8,8"),
     ("dalembert", "grade2", "8,8"),
@@ -473,6 +498,14 @@ def test_every_listed_dirac_tol_name_is_read(scenario, name, grid):
     assert main(argv) == 1
 
 
+def test_dispersion_drift_tolerances_are_set_one_at_a_time(tmp_path):
+    argv = ["dirac", "--scenario", "dispersion", "--grid", "16", "--out", str(tmp_path)]
+    assert main(argv + ["--tol", "norm-drift=-1"]) == 1
+    rows = {c["name"]: c for c in load_report(tmp_path, "dirac_report.json")["checks"]}
+    assert (rows["norm-drift"]["status"], rows["norm-drift"]["tolerance"]) == ("fail", -1.0)
+    assert (rows["momentum-drift"]["status"], rows["momentum-drift"]["tolerance"]) == ("pass", 1e-6)
+
+
 @pytest.mark.parametrize("name", ["cocycle", "correspondence", "unitarity"])
 def test_every_transport_tol_name_is_read(tmp_path, name):
     scenario = write_scenario(tmp_path, qubit_scenario_dict())
@@ -483,7 +516,8 @@ def test_every_transport_tol_name_is_read(tmp_path, name):
     "argv, valid",
     [
         (["dirac", "--scenario", "hermiticity", "--tol", "hermiticty=1e-30"], "hermiticity"),
-        (["dirac", "--scenario", "dispersion", "--grid", "16", "--tol", "wrap=1"], "drift, fidelity"),
+        (["dirac", "--scenario", "dispersion", "--grid", "16", "--tol", "wrap=1"],
+         "norm-drift, momentum-drift, fidelity"),
         (["transport", "--scenario", "QUBIT", "--tol", "drift=1"],
          "cocycle, correspondence, unitarity"),
     ],

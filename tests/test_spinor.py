@@ -9,6 +9,7 @@ from clifbundle.ga import Metric, Multivector, Signature, basis_blades, clifford
 from clifbundle.spinor import (
     ClosureError,
     algebra_span_dimension,
+    algebra_type,
     anticommutator_residual,
     blade_square_sign,
     blades_commute,
@@ -18,7 +19,6 @@ from clifbundle.spinor import (
     minimal_ideal_dimension,
     minimal_left_ideal,
     multivector_coords,
-    orthogonalize_gammas,
     regular_rep,
     sigma_generators,
     spinor_cov_deriv,
@@ -337,13 +337,77 @@ def test_ideal_dimensions_match_classification_n5_n6():
 
 
 def test_iso_table_all_pass():
-    rows = verify_iso_table(signatures=[(1, 3)])
+    rows = verify_iso_table()
     failures = [r.name for r in rows if not r.passed]
     assert failures == []
     names = {r.name for r in rows}
     assert "cl02-quaternion-table" in names
     assert "cl31-even-central-imaginary" in names
-    assert "cl13-quaternionic-ideal" in names
+    for p, q in [(0, 1), (0, 2), (1, 1), (2, 0), (3, 1), (1, 3)]:
+        for row in ("minimal-ideal", "primitive", "gamma-relations", "blade-span"):
+            assert f"cl{p}{q}-{row}" in names
+    assert len(rows) == 4 + 6 * 4
+
+
+@pytest.mark.parametrize(
+    "p,q,kind",
+    [(0, 1, "C(1)"), (0, 2, "H(1)"), (1, 0, "R(1)+R(1)"), (2, 0, "R(2)"), (3, 0, "C(2)"),
+     (0, 3, "H(1)+H(1)"), (3, 1, "R(4)"), (1, 3, "H(2)"), (4, 1, "C(4)"), (3, 2, "R(4)+R(4)")],
+)
+def test_type_table_names_the_classical_algebras(p, q, kind):
+    assert algebra_type(Signature(p, q))[0] == kind
+
+
+def test_type_table_ideal_matches_the_radon_hurwitz_formula():
+    # two independent formulas for one dimension, over every signature p+q <= 10
+    sigs = signatures_up_to(10)
+    assert len(sigs) == 65
+    for sig in sigs:
+        assert algebra_type(sig)[2] == minimal_ideal_dimension(sig), sig
+
+
+def test_table_rows_catch_a_construction_that_stops_early(monkeypatch):
+    # with the stop moved to the whole algebra, f = 1 is not primitive in R(2)
+    monkeypatch.setattr(spinor, "minimal_ideal_dimension", lambda sig: 1 << sig.n)
+    passed = {r.name: r.passed for r in spinor.classification_rows(Signature(1, 1))}
+    assert passed == {
+        "cl11-minimal-ideal": False, "cl11-primitive": False,
+        "cl11-gamma-relations": True, "cl11-blade-span": True,
+    }
+
+
+def dense_span_rank(gs) -> int:
+    """The exact rank of the dense Fraction blade images, one product chain per blade."""
+    rows = []
+    for mask in basis_blades(gs.n):
+        mat = frac_eye(gs.dim)
+        for i in mask_indices(mask):
+            mat = mat @ gs.gammas[i - 1]
+        rows.append(np.ravel(mat))
+    return exact.rank(np.stack(rows))
+
+
+@pytest.mark.parametrize("second, exact_calls", [("repeated", 0), ("sum", 1)])
+def test_short_span_takes_the_exact_fallback(monkeypatch, second, exact_calls):
+    # g^2 := g^1 repeats lines of blade images; g^2 := g^1 + g^3 adds a
+    # dependent line, which only the exact rank can count
+    gs = gamma_set_for_signature(Signature(3, 1))
+    g = list(gs.gammas)
+    g[1] = g[0] if second == "repeated" else g[0] + g[2]
+    short = dataclasses.replace(gs, gammas=g)
+    expected = dense_span_rank(short)
+    calls = []
+    rank = exact.rank
+    monkeypatch.setattr(exact, "rank", lambda m: calls.append(m) or rank(m))
+    assert algebra_span_dimension(short) == expected < 16
+    assert len(calls) == exact_calls
+
+
+@pytest.mark.parametrize("sig", [Signature(0, 3), Signature(1, 0)], ids=str)
+def test_double_type_span_is_half_the_algebra(sig):
+    # the pseudoscalar is +-1 on the ideal, so the blade images repeat in pairs
+    gs = gamma_set_for_signature(sig)
+    assert algebra_span_dimension(gs) == dense_span_rank(gs) == 1 << (sig.n - 1)
 
 
 def test_quaternion_table_directly():
@@ -556,10 +620,10 @@ def test_lie_deriv_reduces_and_matches_cov_deriv(cl31):
 def test_cov_deriv_preserves_dirac_bilinear_for_constant_fields():
     # the sigma-term contribution to d(psi-bar phi) vanishes for a
     # metric-compatible connection: gamma0 sigma + sigma^T gamma0 = 0
-    # in the orthogonalized representation
+    # in the read-off representation, whose gammas are signed permutations
     gs = gamma_set_for_signature(Signature(3, 1))
-    ortho = orthogonalize_gammas(gs)
-    gamma0 = ortho[3]  # the timelike direction of Cl(3,1)
+    gammas = [np.array(g, dtype=float) for g in gs.gammas]
+    gamma0 = gammas[3]  # the timelike direction of Cl(3,1)
     quarter = 0.25
     rng = np.random.default_rng(10)
     a = rng.normal(size=(4, 4))
@@ -569,7 +633,7 @@ def test_cov_deriv_preserves_dirac_bilinear_for_constant_fields():
     sigma_term = np.zeros((4, 4))
     for mu in range(4):
         for nu in range(4):
-            sigma = quarter * (ortho[mu] @ ortho[nu] - ortho[nu] @ ortho[mu])
+            sigma = quarter * (gammas[mu] @ gammas[nu] - gammas[nu] @ gammas[mu])
             sigma_term = sigma_term + 0.5 * a[mu, nu] * sigma
     # d(psi-bar phi) for constant fields = (S psi)^dag g0 phi + psi^dag g0 (S phi)
     leibniz = np.conj(sigma_term @ psi) @ (gamma0 @ phi) + np.conj(psi) @ (
