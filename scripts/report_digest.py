@@ -46,7 +46,11 @@ RUNS = [
     ["dirac", "--scenario", "dispersion", "--grid", "8,8,8"],
     ["dirac", "--scenario", "dispersion", "--grid", "256",
      "--potential", "plane-wave-gauge", "--charge", "0.5"],
+    # massless: the k = 0 mode has omega = 0 and takes the limit of the closed form
+    ["dirac", "--scenario", "dispersion", "--mass", "0"],
     ["dirac", "--scenario", "kg-roundtrip"],
+    # the largest ||R(k)|| of the Klein-Gordon doublet among these runs
+    ["dirac", "--scenario", "kg-roundtrip", "--grid", "1024"],
     ["dirac", "--scenario", "hermiticity"],
     ["dirac", "--scenario", "dalembert", "--refine", "2"],
     ["dirac", "--scenario", "wrap-check"],

@@ -3,9 +3,10 @@
 Fields are complex arrays on uniform periodic grids; spatial derivatives
 are second-order central differences (np.roll).  Time stepping is the
 transport module's RK4 scheme: transport.rk4_linear steps the whole grid,
-and a Dirac field whose coupling e A is the same at every site is stepped
-one Fourier mode at a time instead (_evolve_modes), with each mode's RK4
-step matrix raised to the number of steps.  The Minkowski gamma
+and a Klein-Gordon doublet, or a Dirac field whose coupling e A is the same
+at every site, is stepped one Fourier mode at a time instead
+(_evolve_modes), by the closed form of the mode's N RK4 steps that a
+symbol with two eigenvalues c +- omega admits.  The Minkowski gamma
 sets are the exact algebra-level representations read as floats, with no
 change of basis: the 1+1 case uses the Cl(1,1) matrices directly, the 3+1
 case multiplies the Cl(3,1) set by i so the metric becomes
@@ -27,6 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .config import HBAR
 from .ga import Signature
 from .spinor import (
     ClosureError,
@@ -35,7 +37,7 @@ from .spinor import (
     gamma_products,
     gamma_set_for_signature,
 )
-from .transport import _step_grid, rk4_linear, rk4_step
+from .transport import _step_grid, rk4_linear
 
 
 class GridError(ValueError):
@@ -527,6 +529,12 @@ def dirac_hamiltonian(
 # Fourier modes stepped per batch of _evolve_modes; bounds its transient memory
 MODE_BLOCK = 4096
 
+# (H(k) - c I)^2 = omega^2 I must hold to this fraction of max|H|^2
+_QUADRATIC_TOL = 1e-12
+
+# below this |omega step|, (lam_+^N - lam_-^N)/(2 omega) is replaced by its limit
+_OMEGA_STEP_FLOOR = 1e-8
+
 
 def _mode_symbol(apply_h, m: int, grid: Grid) -> np.ndarray:
     """Columns of the symbol H(k) of a translation-invariant apply_h, shape (m, m, *extents).
@@ -544,26 +552,68 @@ def _mode_symbol(apply_h, m: int, grid: Grid) -> np.ndarray:
     return columns
 
 
+def _rk4_power(z: np.ndarray, n: int) -> np.ndarray:
+    """p(z)^n for the RK4 step polynomial p(z) = 1 + z + z^2/2 + z^3/6 + z^4/24.
+
+    Formed as exp(n log p(z)) with log p = log1p(delta), delta = p(z) - 1, taken
+    apart into modulus and phase, so 1 + delta is never rounded before the power.
+    """
+    delta = z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4)))
+    log_modulus = np.log1p(2 * delta.real + np.abs(delta) ** 2) / 2
+    return np.exp(n * (log_modulus + 1j * np.arctan2(delta.imag, 1 + delta.real)))
+
+
 def _evolve_modes(apply_h, comp: np.ndarray, grid: Grid, t: float, dt: float) -> np.ndarray:
     """rk4_linear(apply_h, comp, 0, t, dt) for a translation-invariant apply_h.
 
-    Fourier modes do not mix, so the steps act on mode k as R(k)^N, with
-    R(k) the RK4 step matrix of the symbol H(k) and N the step count of
-    rk4_linear.  Meant for a Hermitian H(k), whose R(k) is normal; for a
-    non-normal R(k) the roundoff of the power grows with ||R(k)||, which
-    is why klein_gordon_evolve keeps rk4_linear.
+    Fourier modes do not mix, so the N steps of rk4_linear act on mode k as
+    R(k)^N, with R(k) = p(-i step H(k)) and p the RK4 step polynomial.  When
+    H'(k) = H(k) - (tr H(k)/m) I squares to omega^2 I, as for the free Dirac
+    symbol with a constant potential and for the Klein-Gordon doublet, every
+    polynomial in H(k) is a I + b H'(k), and
+        R(k)^N = (lam_+^N + lam_-^N)/2 I + (lam_+^N - lam_-^N)/(2 omega) H'(k)
+    with lam_+- = p(-i step (c +- omega)); where |omega step| < 1e-8 the
+    second coefficient takes its limit N p(z_c)^(N-1) p'(z_c) (-i step).  No
+    power of the matrix R(k), which is not normal for Klein-Gordon, is
+    formed.  omega^2 is read as (H'^2)_00 = (alpha - s)(alpha + s), with
+    alpha = H'_00 and s^2 = -sum_{j>0} H'_0j H'_j0, which does not cancel
+    where |alpha| and |s| far exceed omega.  The test H'^2 = omega^2 I is
+    made on the read symbol, relative to max|H|^2; if any mode fails it,
+    rk4_linear steps the whole grid instead.
     """
     steps, step = _step_grid(0.0, t, dt)
+    if steps == 0:
+        return np.array(comp, copy=True)
     m = comp.shape[0]
     axes = tuple(range(1, grid.dims + 1))
     columns = _mode_symbol(apply_h, m, grid).reshape(m, m, -1)
+    bound = _QUADRATIC_TOL * np.max(np.abs(columns)) ** 2
     modes = np.fft.fftn(comp, axes=axes).reshape(m, -1)
-    eye = np.eye(m, dtype=complex)
+    eye = np.eye(m)
+    tau = -1j * step / HBAR
     for lo in range(0, grid.volume, MODE_BLOCK):
         h_k = columns[:, :, lo:lo + MODE_BLOCK].transpose(2, 1, 0)
-        r_k = rk4_step(lambda _, y: h_k @ y, eye, 0.0, step)
-        block = modes[:, lo:lo + MODE_BLOCK].T[:, :, None]
-        modes[:, lo:lo + MODE_BLOCK] = (np.linalg.matrix_power(r_k, steps) @ block)[:, :, 0].T
+        center = np.trace(h_k, axis1=1, axis2=2) / m
+        h_prime = h_k - center[:, None, None] * eye
+        alpha = h_prime[:, 0, 0]
+        s = np.sqrt(-np.sum(h_prime[:, 0, 1:] * h_prime[:, 1:, 0], axis=1))
+        omega_sq = (alpha - s) * (alpha + s)
+        defect = h_prime @ h_prime - omega_sq[:, None, None] * eye
+        if not np.max(np.abs(defect)) <= bound:
+            return rk4_linear(apply_h, comp, 0.0, t, dt)
+        omega = np.sqrt(omega_sq)
+        z_c = tau * center
+        up = _rk4_power(z_c + tau * omega, steps)
+        down = _rk4_power(z_c - tau * omega, steps)
+        small = np.abs(tau * omega) < _OMEGA_STEP_FLOOR
+        p_prime = 1 + z_c * (1 + z_c / 2 * (1 + z_c / 3))
+        b = np.where(
+            small,
+            steps * _rk4_power(z_c, steps - 1) * p_prime * tau,
+            (up - down) / np.where(small, 1.0, 2 * omega),
+        )
+        block = modes[:, lo:lo + MODE_BLOCK]
+        block[...] = (up + down) / 2 * block + b * np.einsum("kab,bk->ak", h_prime, block)
     return np.fft.ifftn(modes.reshape(comp.shape), axes=axes)
 
 
@@ -650,14 +700,14 @@ def klein_gordon_hamiltonian(comp: np.ndarray, grid: Grid, mass: float) -> np.nd
 
 
 def klein_gordon_evolve(psi0: SpinorField, mass: float, t: float, dt: float) -> SpinorField:
-    """March the reduced doublet with the 4th-order one-step scheme."""
+    """March the reduced doublet with the 4th-order one-step scheme, mode by mode."""
     if mass <= 0:
         raise ValueError("need m > 0")
     grid = psi0.grid
     grid.require_periodic("klein_gordon_evolve")
     _cfl_check(grid, dt)
-    comp = rk4_linear(
-        lambda time, y: klein_gordon_hamiltonian(y, grid, mass), psi0.components, 0.0, t, dt
+    comp = _evolve_modes(
+        lambda time, y: klein_gordon_hamiltonian(y, grid, mass), psi0.components, grid, t, dt
     )
     return SpinorField(grid, comp)
 

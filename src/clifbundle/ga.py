@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from numbers import Rational, Real
 
 import numpy as np
@@ -176,8 +177,9 @@ class Metric:
         """g_ij with 0-based indices."""
         return self.gram[i, j]
 
+    @cached_property
     def inverse_gram(self) -> np.ndarray:
-        """G^-1 = P diag(D)^-1 P^T, exact for an exact gram."""
+        """G^-1 = P diag(D)^-1 P^T, exact for an exact gram; formed once per Metric."""
         p, _, d = self.frame
         return (p / np.asarray(d)) @ p.T
 
@@ -485,7 +487,7 @@ def metric_dual(v: Multivector, metric: Metric) -> list:
 
 def metric_raise(components, metric: Metric) -> Multivector:
     """Inverse operation of metric_dual: covector components -> vector."""
-    raised = metric.inverse_gram() @ np.array(list(components), dtype=object)
+    raised = metric.inverse_gram @ np.array(list(components), dtype=object)
     return Multivector.from_vector(raised, metric.n)
 
 
@@ -504,16 +506,24 @@ def apply_linear_map(mv: Multivector, matrix) -> Multivector:
     mat = np.asarray(matrix)
     n = mv.n
     images = [
-        Multivector(n, {1 << j: mat[j, i] for j in range(n)})
+        [(1 << j, mat[j, i]) for j in range(n) if not _prune(mat[j, i])]
         for i in range(n)
     ]
-    out = Multivector.zero(n)
+    out: dict = {}
     for mask, coeff in mv.terms.items():
-        acc = Multivector.scalar(coeff, n)
+        # the wedge of the factor images, term by term as wedge() forms it
+        acc = {0: coeff}
         for i in mask_indices(mask):
-            acc = wedge(acc, images[i - 1])
-        out = out + acc
-    return out
+            nxt: dict = {}
+            for ma, ca in acc.items():
+                for mb, cb in images[i - 1]:
+                    if not ma & mb:
+                        key = ma | mb
+                        nxt[key] = nxt.get(key, 0) + reorder_sign(ma, mb) * ca * cb
+            acc = {m: c for m, c in nxt.items() if not _prune(c)}
+        for m, c in acc.items():
+            out[m] = out.get(m, 0) + c
+    return Multivector(n, out)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from clifbundle.fields import (
     dirac_slash,
     field_energy_momentum,
     klein_gordon_evolve,
+    klein_gordon_hamiltonian,
     klein_gordon_reconstruct,
     klein_gordon_reduce,
     lowered_gammas_exact,
@@ -495,19 +496,9 @@ def test_mode_symbol_is_the_lattice_dirac_symbol(g4):
     assert np.max(np.abs(symbol - expected)) <= 1e-13
 
 
-@pytest.mark.parametrize(
-    "potential, charge, loop_calls",
-    [("none", 0.5, 0), ("constant", 0.5, 0), ("one-site", 0.0, 0), ("one-site", 0.5, 1)],
-)
-def test_only_a_site_dependent_coupling_takes_the_step_loop(
-    g2, monkeypatch, potential, charge, loop_calls
-):
-    grid = Grid((16,), (L / 16,))
-    pot = {
-        "none": None,
-        "constant": EMPotential(grid, np.full((2, 16), 0.3)),
-        "one-site": one_site_potential(grid, 2),
-    }[potential]
+@pytest.fixture
+def fields_loop_calls(monkeypatch):
+    """The argument tuples of every rk4_linear call made through the fields module."""
     calls = []
 
     def counting_rk4_linear(*args):
@@ -515,8 +506,125 @@ def test_only_a_site_dependent_coupling_takes_the_step_loop(
         return rk4_linear(*args)
 
     monkeypatch.setattr(fields, "rk4_linear", counting_rk4_linear)
-    dirac_hamiltonian_evolve(random_spinor(grid, 2, seed=1), pot, 1.0, charge, 0.01, 1e-3, g2)
-    assert len(calls) == loop_calls
+    return calls
+
+
+@pytest.mark.parametrize(
+    "potential, charge, loop_calls",
+    [
+        ("none", 0.5, 0),
+        ("constant", 0.5, 0),
+        ("one-site", 0.0, 0),
+        ("one-site", 0.5, 1),
+        ("klein-gordon", 0.0, 0),
+    ],
+)
+def test_only_a_site_dependent_coupling_takes_the_step_loop(
+    g2, fields_loop_calls, potential, charge, loop_calls
+):
+    grid = Grid((16,), (L / 16,))
+    psi0 = random_spinor(grid, 2, seed=1)
+    if potential == "klein-gordon":
+        klein_gordon_evolve(psi0, 1.0, 0.01, 1e-3)
+    else:
+        pot = {
+            "none": None,
+            "constant": EMPotential(grid, np.full((2, 16), 0.3)),
+            "one-site": one_site_potential(grid, 2),
+        }[potential]
+        dirac_hamiltonian_evolve(psi0, pot, 1.0, charge, 0.01, 1e-3, g2)
+    assert len(fields_loop_calls) == loop_calls
+
+
+def test_a_symbol_without_two_eigenvalues_takes_the_step_loop(fields_loop_calls):
+    # diag(1, 2, 4): H - (7/3) I does not square to a multiple of I
+    grid = Grid((16,), (L / 16,))
+    psi0 = random_spinor(grid, 3, seed=4)
+    weights = np.reshape([1.0, 2.0, 4.0], (3, 1))
+    got = fields._evolve_modes(lambda _, y: weights * y, psi0.components, grid, 0.05, 1e-2)
+    assert len(fields_loop_calls) == 1
+    ref = rk4_linear(lambda _, y: weights * y, psi0.components, 0.0, 0.05, 1e-2)
+    assert np.array_equal(got, ref)
+
+
+def long_double_loop(apply_h, comp: np.ndarray, t: float, dt: float) -> np.ndarray:
+    """The step loop run in extended precision, as a reference for the float paths."""
+    return rk4_linear(apply_h, comp.astype(np.clongdouble), 0.0, t, dt)
+
+
+def max_relative(got: np.ndarray, ref: np.ndarray) -> float:
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("t", [1.0, -1.0])
+def test_klein_gordon_per_mode_path_matches_a_long_double_loop(t):
+    # w = K/2m reaches 5e4 at the top of a 1024 grid, so ||R(k)|| is far above 1;
+    # the float step loop ends about 4e-12 off the reference
+    grid = Grid((1024,), (L / 1024,))
+    psi0 = random_spinor(grid, 2, seed=5)
+    got = klein_gordon_evolve(psi0, 1.0, t, 1e-3).components
+    ref = long_double_loop(
+        lambda _, y: klein_gordon_hamiltonian(y, grid, 1.0), psi0.components, t, 1e-3
+    )
+    assert max_relative(got, ref) <= 1e-12
+
+
+@pytest.mark.parametrize("extents", [(64,), (8, 8, 8)])
+@pytest.mark.parametrize("t", [0.2, -0.2])
+def test_dirac_per_mode_path_matches_a_long_double_loop(extents, t):
+    grid = Grid(extents, tuple(L / n for n in extents))
+    gset = minkowski_gamma_set(grid.dims + 1)
+    psi0 = random_spinor(grid, gset.spinor_dim, seed=6)
+    a_const = np.linspace(0.4, -0.3, gset.spacetime_dim)
+    pot = EMPotential(grid, np.broadcast_to(
+        np.reshape(a_const, (-1,) + (1,) * grid.dims), (gset.spacetime_dim,) + extents
+    ))
+    got = dirac_hamiltonian_evolve(psi0, pot, 1.0, 0.7, t, 1e-3, gset).components
+    ref = long_double_loop(
+        lambda _, y: dirac_hamiltonian(y, grid, pot, 1.0, 0.7, gset), psi0.components, t, 1e-3
+    )
+    assert max_relative(got, ref) <= 1e-13
+
+
+def test_massless_zero_mode_takes_the_limit_of_the_closed_form(g2):
+    # m = 0 and A_1 = 0: H(0) = e A_0 I, so omega = 0 at k = 0 and
+    # (lam_+^N - lam_-^N)/(2 omega) is 0/0; random data excites that mode
+    grid = Grid((16,), (L / 16,))
+    psi0 = random_spinor(grid, 2, seed=7)
+    pot = EMPotential(grid, np.stack([np.full(16, 0.4), np.zeros(16)]))
+    got = dirac_hamiltonian_evolve(psi0, pot, 0.0, 0.7, 0.05, 1e-3, g2).components
+    assert np.all(np.isfinite(got))
+    ref = rk4_linear(
+        lambda _, y: dirac_hamiltonian(y, grid, pot, 0.0, 0.7, g2),
+        psi0.components, 0.0, 0.05, 1e-3,
+    )
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_a_nilpotent_symbol_takes_the_limit_of_the_closed_form():
+    # H = 0.4 I + [[0, 1], [0, 0]]: omega = 0 on every mode while H' != 0,
+    # so the whole b H' term comes from the limit N p(z_c)^(N-1) p'(z_c) (-i step)
+    grid = Grid((16,), (L / 16,))
+    psi0 = random_spinor(grid, 2, seed=9)
+
+    def apply_h(_, y):
+        return 0.4 * y + np.stack([y[1], np.zeros_like(y[1])])
+
+    got = fields._evolve_modes(apply_h, psi0.components, grid, 0.05, 1e-3)
+    ref = rk4_linear(apply_h, psi0.components, 0.0, 0.05, 1e-3)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("equation", ["dirac", "klein-gordon"])
+def test_zero_time_returns_a_copy_of_the_initial_field(g2, equation):
+    grid = Grid((16,), (L / 16,))
+    psi0 = random_spinor(grid, 2, seed=8)
+    if equation == "dirac":
+        psit = dirac_hamiltonian_evolve(psi0, None, 1.0, 0.0, 0.0, 1e-3, g2)
+    else:
+        psit = klein_gordon_evolve(psi0, 1.0, 0.0, 1e-3)
+    assert np.array_equal(psit.components, psi0.components)
+    assert not np.shares_memory(psit.components, psi0.components)
 
 
 def test_per_mode_path_peak_memory_within_the_loop(g4):

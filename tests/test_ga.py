@@ -355,6 +355,14 @@ def test_metric_dual_round_trip():
     assert back.almost_equal(v, 1e-12)
 
 
+def test_inverse_gram_is_formed_once_per_metric():
+    g = Metric.from_gram([[F(2), F(1)], [F(1), F(-1)]])
+    inv = g.inverse_gram
+    assert g.inverse_gram is inv
+    assert all((inv @ g.gram)[i, j] == (i == j) for i in range(2) for j in range(2))
+    assert metric_raise(metric_dual(e(1, 2), g), g) == e(1, 2)
+
+
 def test_scalar_product_examples():
     g = Metric.euclidean(2)
     assert scalar_product(e(1, 2), e(1, 2), g) == F(1)

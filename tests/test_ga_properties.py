@@ -143,6 +143,20 @@ def test_general_metric_blades_match_diagonal_fast_path(q, ma, mb):
     assert lhs == apply_linear_map(clifford(a, b, METRIC), q)
 
 
+@settings(max_examples=60, deadline=None)
+@given(unimodular(), multivectors())
+def test_apply_linear_map_is_the_wedge_of_the_factor_images(q, a):
+    images = [Multivector(DIM, {1 << j: q[j, i] for j in range(DIM)}) for i in range(DIM)]
+    expected = Multivector.zero(DIM)
+    for mask, coeff in a.terms.items():
+        term = Multivector.scalar(coeff, DIM)
+        for i in range(DIM):
+            if mask >> i & 1:
+                term = wedge(term, images[i])
+        expected = expected + term
+    assert apply_linear_map(a, q) == expected
+
+
 @st.composite
 def general_operands(draw, n_vectors, n_multivectors):
     metric = draw(st.sampled_from(GENERAL_METRICS))
