@@ -42,6 +42,8 @@ RUNS = [
     ["spinor-rep", "--signature", "2,5"],
     ["transport", "--scenario", "scenarios/qubit.json"],
     ["transport", "--scenario", "scenarios/qubit_gauged.json"],
+    # config.tolerances: transport records the merged table, dirac only the overrides
+    ["transport", "--scenario", "scenarios/qubit_gauged.json", "--tol", "unitarity=1e-9"],
     ["dirac", "--scenario", "dispersion"],
     ["dirac", "--scenario", "dispersion", "--grid", "8,8,8"],
     ["dirac", "--scenario", "dispersion", "--grid", "256",
@@ -52,6 +54,7 @@ RUNS = [
     # the largest ||R(k)|| of the Klein-Gordon doublet among these runs
     ["dirac", "--scenario", "kg-roundtrip", "--grid", "1024"],
     ["dirac", "--scenario", "hermiticity"],
+    ["dirac", "--scenario", "hermiticity", "--tol", "hermiticity=1e-9"],
     ["dirac", "--scenario", "dalembert", "--refine", "2"],
     ["dirac", "--scenario", "wrap-check"],
 ]

@@ -14,7 +14,7 @@ Layers, bottom up:
 """
 
 from ._version import __version__
-from .config import DEFAULT_NMAX, HBAR, TransportTolerances, max_dimension
+from .config import DEFAULT_NMAX, HBAR, max_dimension
 from .ga import (
     Metric,
     Multivector,

@@ -230,12 +230,7 @@ def cmd_transport(args) -> int:
     if not args.scenario:
         raise UsageError("transport requires --scenario <file.json>")
     scenario = tr.load_scenario(args.scenario)
-    tols = dict(
-        cocycle=scenario.tolerances.cocycle,
-        correspondence=scenario.tolerances.correspondence,
-        unitarity=scenario.tolerances.unitarity,
-    )
-    tols.update(_parse_tols(args.tol, tuple(tols)))
+    tols = {**scenario.tolerances, **_parse_tols(args.tol, tr.TOLERANCES)}
     transport = tr.Transport.build(
         scenario.path, scenario.hamiltonian, scenario.trivialization, scenario.dt
     )
@@ -387,9 +382,7 @@ def _dirac_dispersion(args, report: Report, tols: dict, rng) -> None:
     dt = min(1e-3, min(grid.spacing) / 8)
     psit = fl.dirac_hamiltonian_evolve(psi0, pot, mass, args.charge, 1.0, dt, gset)
     report.add(
-        "norm-drift",
-        abs(psit.norm_sq() - psi0.norm_sq()),
-        tols.get("norm-drift", 1e-8),
+        "norm-drift", abs(psit.norm_sq() - psi0.norm_sq()), tols["norm-drift"],
         relation="the evolution is unitary (norm conserved)",
     )
     if args.potential == "zero":
@@ -397,13 +390,13 @@ def _dirac_dispersion(args, report: Report, tols: dict, rng) -> None:
         report.add(
             "dispersion-fidelity",
             float(np.max(np.abs(psit.components - exact.components))),
-            tols.get("fidelity", 1e-6),
+            tols["fidelity"],
             relation="on-shell phase advances as exp(-i E_lat t)",
         )
         report.add(
             "momentum-drift",
             abs(fl.momentum_expectation(psit, 0) - fl.momentum_expectation(psi0, 0)),
-            tols.get("momentum-drift", 1e-6),
+            tols["momentum-drift"],
             relation="free evolution conserves the momentum expectation",
         )
     _write_field_snapshot(args, grid, psit, "dirac_field")
@@ -418,7 +411,7 @@ def _dirac_hermiticity(args, report: Report, tols: dict, rng) -> None:
     lhs = fl.dirac_pairing(phi, fl.momentum_op(psi, gset), gset)
     rhs = fl.dirac_pairing(fl.momentum_op(phi, gset), psi, gset)
     report.add(
-        "momentum-hermiticity", abs(lhs - rhs), tols.get("hermiticity", 1e-10),
+        "momentum-hermiticity", abs(lhs - rhs), tols["hermiticity"],
         relation="<phi, p psi> = <p phi, psi> in the Dirac pairing",
     )
     # spatial Hamiltonian Hermiticity with the chosen potential preset
@@ -433,8 +426,7 @@ def _dirac_hermiticity(args, report: Report, tols: dict, rng) -> None:
     lhs2 = np.sum(np.conj(a) * hb)
     rhs2 = np.sum(np.conj(ha) * b)
     report.add(
-        "hamiltonian-hermiticity", abs(lhs2 - rhs2) * sgrid.cell_volume,
-        tols.get("hermiticity", 1e-10),
+        "hamiltonian-hermiticity", abs(lhs2 - rhs2) * sgrid.cell_volume, tols["hermiticity"],
         relation="H_D is Hermitian in the plain L2 product",
     )
 
@@ -470,14 +462,14 @@ def _dirac_dalembert(args, report: Report, tols: dict, rng) -> None:
                 relation="scalar part of the gamma-squared operator equals D_mu D^mu",
             )
             report.add(
-                "grade2-vanishes", res.grade2_max, tols.get("grade2", 1e-10),
+                "grade2-vanishes", res.grade2_max, tols["grade2"],
                 relation="mixed partials commute: no grade-2 content for flat data",
             )
     for level in range(len(errors) - 1):
         factor = errors[level] / errors[level + 1]
         report.add(
             f"convergence-factor-level{level}",
-            abs(factor - 4.0), tols.get("convergence", 0.8),
+            abs(factor - 4.0), tols["convergence"],
             relation="second-order stencils: error shrinks 4x per grid doubling",
             details=f"factor {factor:.3f} from error {errors[level]:.3e} to {errors[level + 1]:.3e}",
         )
@@ -504,7 +496,7 @@ def _dirac_kg(args, report: Report, tols: dict, rng) -> None:
     exact = np.exp(-1j * energy) * phi0.values
     rel = float(np.max(np.abs(phit.values - exact)) / np.max(np.abs(exact)))
     report.add(
-        "plane-wave-roundtrip", rel, tols.get("roundtrip", 1e-4),
+        "plane-wave-roundtrip", rel, tols["roundtrip"],
         relation="the first-order doublet evolution reproduces the scalar wave",
     )
 
@@ -515,8 +507,7 @@ def _dirac_wrap(args, report: Report, tols: dict, rng) -> None:
     l_field = fl.random_smooth_trivialization_field(grid, gset.spinor_dim, seed=args.seed)
     wrapped = fl.bundle_wrap(gset, grid, l_field)
     report.add(
-        "wrapped-anticommutator", wrapped.anticommutator_residual(),
-        tols.get("wrap", 1e-10),
+        "wrapped-anticommutator", wrapped.anticommutator_residual(), tols["wrap"],
         relation="G^mu G^nu + G^nu G^mu = 2 eta^{mu nu} I at every grid point",
     )
     dets_orig = np.prod([np.linalg.det(np.asarray(g, dtype=complex)) for g in gset.gammas])
@@ -561,13 +552,15 @@ def _write_field_snapshot(args, grid: fl.Grid, field_obj, name: str) -> None:
             writer.writerow(coords + vals)
 
 
-# each dirac scenario: its runner and the --tol names it reads
+# each dirac scenario: its runner and the --tol names it reads, with their defaults
 DIRAC_SCENARIOS = {
-    "dispersion": (_dirac_dispersion, ("norm-drift", "momentum-drift", "fidelity")),
-    "hermiticity": (_dirac_hermiticity, ("hermiticity",)),
-    "dalembert": (_dirac_dalembert, ("grade2", "convergence")),
-    "kg-roundtrip": (_dirac_kg, ("roundtrip",)),
-    "wrap-check": (_dirac_wrap, ("wrap",)),
+    "dispersion": (
+        _dirac_dispersion, {"norm-drift": 1e-8, "momentum-drift": 1e-6, "fidelity": 1e-6}
+    ),
+    "hermiticity": (_dirac_hermiticity, {"hermiticity": 1e-10}),
+    "dalembert": (_dirac_dalembert, {"grade2": 1e-10, "convergence": 0.8}),
+    "kg-roundtrip": (_dirac_kg, {"roundtrip": 1e-4}),
+    "wrap-check": (_dirac_wrap, {"wrap": 1e-10}),
 }
 
 
@@ -577,8 +570,9 @@ def cmd_dirac(args) -> int:
         raise UsageError(
             f"unknown dirac scenario {scenario!r}; choose from {', '.join(DIRAC_SCENARIOS)}"
         )
-    run, tol_names = DIRAC_SCENARIOS[scenario]
-    tols = _parse_tols(args.tol, tol_names)
+    run, defaults = DIRAC_SCENARIOS[scenario]
+    # the report records the overrides; the runner reads them over the defaults
+    tols = _parse_tols(args.tol, defaults)
     rng = np.random.default_rng(args.seed)
     report = Report(
         command="dirac",
@@ -594,7 +588,7 @@ def cmd_dirac(args) -> int:
             "tolerances": tols,
         },
     )
-    run(args, report, tols, rng)
+    run(args, report, {**defaults, **tols}, rng)
     _write_report(report, args.out, "dirac_report.json")
     return report.exit_code
 
@@ -632,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tr = sub.add_parser("transport", help="run a transport scenario file")
     p_tr.add_argument("--scenario", required=True, help="scenario JSON path")
-    common(p_tr, "cocycle, correspondence, unitarity")
+    common(p_tr, ", ".join(tr.TOLERANCES))
 
     p_di = sub.add_parser("dirac", help="run a flat-grid field scenario")
     p_di.add_argument(

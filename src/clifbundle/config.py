@@ -1,9 +1,13 @@
-"""Global configuration knobs shared across the library."""
+"""Global configuration knobs shared across the library: HBAR and the dimension ceiling.
+
+Check tolerances are not set here.  Each command keeps one table of its
+tolerance names and defaults beside the checks that read them:
+``transport.TOLERANCES`` and ``cli.DIRAC_SCENARIOS``.
+"""
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 DEFAULT_NMAX = 10
 
@@ -39,16 +43,3 @@ def check_dimension(n: int) -> int:
         raise ValueError(f"dimension must satisfy 1 <= n <= {nmax}, got {n}")
     return n
 
-
-@dataclass(frozen=True)
-class TransportTolerances:
-    """Default residual thresholds for the transport checks.
-
-    The cocycle and correspondence residuals inherit the integrator error;
-    the stock values suit the qubit-scale scenarios of the verification
-    suite, and a scenario file or ``--tol`` overrides them.
-    """
-
-    cocycle: float = 1e-8
-    correspondence: float = 1e-6
-    unitarity: float = 1e-8

@@ -37,7 +37,7 @@ from .spinor import (
     gamma_products,
     gamma_set_for_signature,
 )
-from .transport import _step_grid, rk4_linear
+from .transport import _step_grid, _well_conditioned, rk4_linear
 
 
 class GridError(ValueError):
@@ -428,13 +428,10 @@ class WrappedGammaField:
         return anticommutator_residual(gamma_products(self.matrices), self.eta)
 
 
-def _check_invertible_field(l_field: np.ndarray, grid: Grid):
-    # cond fails on a non-finite matrix, so non-finite points are found first
-    bad = ~np.all(np.isfinite(l_field), axis=(-2, -1))
-    if not np.any(bad):
-        bad = ~(np.linalg.cond(l_field) < 1e12)
-    if np.any(bad):
-        idx = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
+def _check_invertible_field(l_field: np.ndarray):
+    ok = _well_conditioned(l_field)
+    if not np.all(ok):
+        idx = tuple(int(i) for i in np.unravel_index(int(np.argmin(ok)), ok.shape))
         raise ValueError(f"trivialization matrix singular at grid point {idx}")
 
 
@@ -446,7 +443,7 @@ def bundle_wrap(gset: FieldGammaSet, grid: Grid, l_field: np.ndarray) -> Wrapped
         raise ValueError(
             f"l field shape {l_field.shape} != extents + (m, m) = {grid.extents + (m, m)}"
         )
-    _check_invertible_field(l_field, grid)
+    _check_invertible_field(l_field)
     l_inv = np.linalg.inv(l_field)
     wrapped = np.stack([l_inv @ g @ l_field for g in gset.gammas])
     return WrappedGammaField(grid=grid, eta=gset.eta, matrices=wrapped)
@@ -470,7 +467,7 @@ def wrapped_momentum(
     m = gset.spinor_dim
     if l_field.shape != psi.grid.extents + (m, m):
         raise ValueError("l field shape mismatch")
-    _check_invertible_field(l_field, psi.grid)
+    _check_invertible_field(l_field)
     pushed = SpinorField(psi.grid, _pointwise_apply(l_field, psi.components))
     slashed = momentum_op(pushed, gset)
     l_inv = np.linalg.inv(l_field)

@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import HBAR, TransportTolerances
+from .config import HBAR
 
 __all__ = [
     "HBAR",
-    "TransportTolerances",
+    "TOLERANCES",
     "Path",
     "Trivialization",
     "HamiltonianSpec",
@@ -117,9 +117,18 @@ class Path:
         return _interp_linear(self.times, self.points, t)
 
 
-def _well_conditioned(m: np.ndarray) -> bool:
-    """Finite entries and condition number below 1e12 (cond fails on NaN)."""
-    return bool(np.all(np.isfinite(m))) and np.linalg.cond(m) < 1e12
+def _well_conditioned(m: np.ndarray) -> np.ndarray:
+    """One flag per matrix of a stack: finite entries and condition number below 1e12.
+
+    cond fails on a non-finite matrix, so it sees only the finite ones.  An
+    all-finite stack, the usual case, goes to cond whole: the boolean-mask
+    copy raised the peak RSS of the transport runs.
+    """
+    ok = np.all(np.isfinite(m), axis=(-2, -1))
+    if np.all(ok):
+        return np.linalg.cond(m) < 1e12
+    ok[ok] = np.linalg.cond(m[ok]) < 1e12
+    return ok
 
 
 @dataclass(frozen=True)
@@ -154,13 +163,12 @@ class Trivialization:
             raise ValueError("trivialization matrices must be square")
         if mats.shape[0] != len(path.times):
             raise ValueError("need one trivialization matrix per path sample")
-        dim = mats.shape[1]
-        for k, m in enumerate(mats):
-            if not _well_conditioned(m):
-                raise SingularTrivializationError(
-                    f"trivialization matrix at sample {k} is singular"
-                )
-        return cls(dim, lambda t: _interp_linear(path.times, mats, t))
+        ok = _well_conditioned(mats)
+        if not np.all(ok):
+            raise SingularTrivializationError(
+                f"trivialization matrix at sample {int(np.argmin(ok))} is singular"
+            )
+        return cls(mats.shape[1], lambda t: _interp_linear(path.times, mats, t))
 
     def matrix(self, t: float) -> np.ndarray:
         m = np.asarray(self.of_t(t), dtype=complex)
@@ -170,7 +178,7 @@ class Trivialization:
 
     def inverse(self, t: float) -> np.ndarray:
         m = self.matrix(t)
-        if not _well_conditioned(m):
+        if not _well_conditioned(m[None])[0]:
             raise SingularTrivializationError(f"trivialization singular at t={t}")
         return np.linalg.inv(m)
 
@@ -289,6 +297,8 @@ class Lifting:
             raise ValueError("one fibre vector per sample time required")
         if len(times) < 4:
             raise ValueError("insufficient samples for cubic interpolation (need >= 4)")
+        if not np.all(np.diff(times) > 0):
+            raise ValueError("lifting times must be strictly increasing")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
@@ -419,12 +429,7 @@ class Transport:
     _cache: dict = field(default_factory=dict, repr=False)
 
     @classmethod
-    def build(cls, path, hamiltonian=None, trivialization=None, dt=1e-3, dim=None):
-        if hamiltonian is None:
-            if dim is None and trivialization is None:
-                raise ValueError("need a Hamiltonian, a trivialization, or a dim")
-            dim = dim if dim is not None else trivialization.dim
-            hamiltonian = HamiltonianSpec.zero(dim)
+    def build(cls, path, hamiltonian, trivialization=None, dt=1e-3):
         if trivialization is None:
             trivialization = Trivialization.identity(hamiltonian.dim)
         if hamiltonian.dim != trivialization.dim:
@@ -563,8 +568,12 @@ class Scenario:
     hamiltonian: HamiltonianSpec
     trivialization: Trivialization
     dt: float
-    tolerances: TransportTolerances
+    tolerances: dict
 
+
+# the transport checks' tolerance names and defaults; a scenario file's
+# "tolerances" and --tol override them by name
+TOLERANCES = {"cocycle": 1e-8, "correspondence": 1e-6, "unitarity": 1e-8}
 
 # one evolve block peaks near 6.2 KB * fibre_dim^2 (tracemalloc: 96.5 MiB at 128)
 MAX_FIBRE_DIM = 128
@@ -606,14 +615,13 @@ def scenario_from_dict(data: dict) -> Scenario:
         else:
             raise ValueError(f"unknown trivialization type {tkind!r}")
         dt = float(data.get("dt", 1e-3))
-        tol_spec = data.get("tolerances", {})
-        tol = TransportTolerances(
-            cocycle=float(tol_spec.get("cocycle", TransportTolerances.cocycle)),
-            correspondence=float(
-                tol_spec.get("correspondence", TransportTolerances.correspondence)
-            ),
-            unitarity=float(tol_spec.get("unitarity", TransportTolerances.unitarity)),
-        )
+        tol = {**TOLERANCES, **data.get("tolerances", {})}
+        unknown = [name for name in tol if name not in TOLERANCES]
+        if unknown:
+            raise ValueError(
+                f"unknown tolerance {unknown[0]!r}; a scenario reads {', '.join(TOLERANCES)}"
+            )
+        tol = {name: float(value) for name, value in tol.items()}
     except KeyError as exc:
         raise ValueError(f"scenario missing required field: {exc}") from exc
     except (TypeError, AttributeError, OverflowError) as exc:

@@ -397,6 +397,14 @@ def test_transport_tolerance_override_can_fail(tmp_path):
     assert code == 1
 
 
+def test_transport_misspelt_scenario_tolerance_is_config_error(tmp_path, capsys):
+    data = qubit_scenario_dict()
+    data["tolerances"] = {"unitarty": -1.0, "cocycle": 1e-8}
+    assert main(["transport", "--scenario", write_scenario(tmp_path, data)]) == 2
+    err = capsys.readouterr().err
+    assert "'unitarty'" in err and "cocycle, correspondence, unitarity" in err
+
+
 # ---------------------------------------------------------------------------
 # dirac
 

@@ -325,6 +325,20 @@ def test_gamma_relations_exact_across_signatures():
         assert gs.anticommutator_residuals() == 0, (p, q)
 
 
+@pytest.mark.parametrize("p, q", [(p, n - p) for n in range(1, 7) for p in range(n + 1)])
+def test_gammas_are_signed_permutations_symmetric_by_their_square(p, q):
+    # what lets minkowski_gamma_set read the gammas without a change of basis:
+    # N^mu = g^mu has one +-1 per row and column, and N^mu = g_mumu (N^mu)^T
+    gs = gamma_set_for_signature(Signature(p, q))
+    assert gs.denominator == 1
+    for square, num in zip(gs.metric_diag, gs.numerators):
+        mat = num.astype(np.int64)
+        assert np.array_equal(np.abs(mat).sum(axis=0), np.ones(gs.dim))
+        assert np.array_equal(np.abs(mat).sum(axis=1), np.ones(gs.dim))
+        assert set(np.unique(mat)) <= {-1, 0, 1}
+        assert np.array_equal(mat, square * mat.T)
+
+
 def test_ideal_dimensions_match_classification_n5_n6():
     # Cl(3,2) = 2 x M4(R): 4; Cl(4,1) = M4(C): 8; Cl(3,3) = M8(R): 8
     assert find_primitive_idempotent(Signature(3, 2)).ideal_dimension == 4

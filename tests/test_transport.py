@@ -415,6 +415,12 @@ def test_lifting_needs_enough_samples():
         Lifting(np.array([0.0, 1.0]), np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("times", [[0, 1, 1, 3], [0, 2, 1, 3]], ids=["repeated", "unsorted"])
+def test_lifting_needs_strictly_increasing_times(times):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Lifting(times, times)
+
+
 # ---------------------------------------------------------------------------
 # one-sweep propagation
 
@@ -543,7 +549,7 @@ def test_qubit_scenario_round_trip():
     assert sc.fibre_dim == 2
     assert np.array_equal(sc.hamiltonian.matrix(0.3), QUBIT_H)
     tr = Transport.build(sc.path, sc.hamiltonian, sc.trivialization, sc.dt)
-    assert tr.cocycle_residual(1.0, 0.5, 0.0) <= sc.tolerances.cocycle
+    assert tr.cocycle_residual(1.0, 0.5, 0.0) <= sc.tolerances["cocycle"]
 
 
 def test_scenario_missing_field_is_rejected():
