@@ -5,21 +5,33 @@ blade mask to coefficient.  Coefficients may be exact (int / Fraction) or
 float; exact inputs stay exact through every product, which is what lets
 the identity suites assert equality rather than closeness.
 
-Product signs are computed by bit-counting swap parities, O(n) per blade
-pair.  There is one product kernel, pure mask arithmetic over an
-orthogonal basis.  A general symmetric metric reaches it through its
-orthogonal frame: a congruence P^T G P = D to a diagonal metric, found
-once per Metric, exactly by symmetric elimination over Fractions for an
-exact gram and by an eigendecomposition for a float gram.  Operands are
-mapped into the frame, multiplied there and mapped back.
+There is one Clifford-product kernel, a pair loop over an orthogonal
+basis: e_A e_B = sign(A, B) w[A & B] e_(A xor B), with w[m] the product of
+the frame's squares D_i over the bits of m.  The sign of every pair comes
+from a row ``_sign_row(n, A)``, formed once per (n, A) with numpy bit
+counts and shared by all metrics of one dimension.  Each Metric caches its
+weights w and the blade images of its frame maps.  A general symmetric
+metric reaches the kernel through its orthogonal frame: a congruence
+P^T G P = D, found once per Metric, exactly by symmetric elimination over
+Fractions for an exact gram and by an eigendecomposition for a float gram.
+Operands are mapped into the frame by P^-1, multiplied there and mapped
+back by P.  When every coefficient and the metric are rational, the loop
+runs on integer numerators over one denominator per operand and each
+output coefficient becomes one Fraction; float operands take the same loop
+with denominator 1 and float weights.
+
+``wedge``, ``interior`` and ``apply_linear_map`` form their signs with
+``reorder_sign`` and read none of these caches, so the laws that relate
+them to the Clifford product check independent code.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from numbers import Rational, Real
 
 import numpy as np
@@ -66,7 +78,9 @@ class Signature:
     def diag(self) -> tuple[int, ...]:
         return (1,) * self.p + (-1,) * self.q
 
+    @cache
     def metric(self) -> "Metric":
+        """The one Metric of this signature, so its product caches are shared."""
         return Metric.from_signature(self)
 
     def __str__(self) -> str:
@@ -112,7 +126,9 @@ class Metric:
 
     ``frame`` is its orthogonal frame (P, P^-1, D).  When every gram entry is
     an int or a Fraction it is exact and its pivots alone decide degeneracy;
-    a float gram gets its orthonormal eigenbasis, P^-1 = P^T.
+    a float gram gets its orthonormal eigenbasis, P^-1 = P^T.  The product
+    kernel's weights and blade images are cached on the Metric when first
+    used, so the gram is held as a read-only copy.
     """
 
     n: int
@@ -121,7 +137,8 @@ class Metric:
 
     def __post_init__(self):
         check_dimension(self.n)
-        g = np.asarray(self.gram)
+        g = np.array(self.gram)
+        g.flags.writeable = False
         if g.shape != (self.n, self.n):
             raise MetricError(f"gram shape {g.shape} != ({self.n}, {self.n})")
         gf = np.array(g, dtype=float)
@@ -129,7 +146,8 @@ class Metric:
             raise MetricError("gram matrix has a non-finite entry")
         if np.max(np.abs(gf - gf.T)) > 1e-12 * np.max(np.abs(gf)):
             raise MetricError("gram matrix is not symmetric (residual > 1e-12 max |g_ij|)")
-        if all(isinstance(x, Rational) for x in g.flat):
+        object.__setattr__(self, "gram", g)
+        if self.exact:
             frame = _orthogonal_frame(g)
         else:
             # an orthonormal eigenbasis keeps the float frame as well
@@ -140,7 +158,6 @@ class Metric:
             if not np.isfinite(eigvals).all() or size.min() <= 1e-12 * size.max():
                 raise MetricError("gram matrix is degenerate (min |eigenvalue| <= 1e-12 max)")
             frame = (vecs, vecs.T, tuple(eigvals.tolist()))
-        object.__setattr__(self, "gram", g)
         object.__setattr__(self, "frame", frame)
 
     @classmethod
@@ -164,7 +181,12 @@ class Metric:
         rows = np.asarray(rows)
         return cls(rows.shape[0], rows)
 
-    @property
+    @cached_property
+    def exact(self) -> bool:
+        """True when every gram entry, and so the frame, is rational."""
+        return all(isinstance(x, Rational) for x in self.gram.flat)
+
+    @cached_property
     def is_diagonal(self) -> bool:
         g = self.gram
         return all(g[i, j] == 0 for i in range(self.n) for j in range(self.n) if i != j)
@@ -182,6 +204,43 @@ class Metric:
         """G^-1 = P diag(D)^-1 P^T, exact for an exact gram; formed once per Metric."""
         p, _, d = self.frame
         return (p / np.asarray(d)) @ p.T
+
+    # -- the product kernel's caches, each formed on first use ----------------
+
+    @cached_property
+    def _squares(self) -> tuple:
+        """D_i of the orthogonal basis the product runs in: the gram's diagonal if diagonal."""
+        return self.diag if self.is_diagonal else self.frame[2]
+
+    @cached_property
+    def _exact_weights(self) -> tuple[list[int], int]:
+        """(w, dw) with prod_{i in m} D_i = w[m] / dw for every mask m, dw = prod den(D_i)."""
+        squares = [_ratio(x) for x in self._squares]
+        dw = math.prod(den for _, den in squares)
+        w = [dw]
+        for num, den in squares:
+            # the masks with bit i highest follow the 2^i masks below them
+            w += [c // den * num for c in w]
+        return w, dw
+
+    @cached_property
+    def _float_weights(self) -> list:
+        """prod_{i in m} D_i as a float, multiplied in ascending i for a float frame."""
+        if self.exact:
+            w, dw = self._exact_weights
+            return [c / dw for c in w]
+        w = [1]
+        for x in map(float, self._squares):
+            w += [c * x for c in w]
+        return w
+
+    @cached_property
+    def _to_frame(self) -> "_BladeImages":
+        return _BladeImages(self.frame[1], self.exact)
+
+    @cached_property
+    def _from_frame(self) -> "_BladeImages":
+        return _BladeImages(self.frame[0], self.exact)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +285,28 @@ def reorder_sign(a: int, b: int) -> int:
         swaps += bin(b & (low - 1)).count("1")
         rest ^= low
     return -1 if swaps & 1 else 1
+
+
+@cache
+def _sign_row(n: int, a: int) -> list[int]:
+    """reorder_sign(a, b) for every b < 2^n, from numpy bit counts.
+
+    A Python list, so the product loop multiplies Python ints only; cached
+    per (n, a), so every metric of one dimension shares the rows.
+    """
+    b = np.arange(1 << n)
+    swaps = np.zeros(1 << n, dtype=np.uint8)
+    rest = a
+    while rest:
+        low = rest & -rest
+        swaps ^= np.bitwise_count(b & (low - 1)) & 1
+        rest ^= low
+    return (1 - 2 * swaps.astype(np.int64)).tolist()
+
+
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator) of a rational scalar as Python ints."""
+    return int(x.numerator), int(x.denominator)
 
 
 def blade_label(mask: int) -> str:
@@ -426,32 +507,125 @@ def interior(v: Multivector, a: Multivector, metric: Metric) -> Multivector:
 # Clifford product
 
 
-def _clifford_diagonal(a: Multivector, b: Multivector, diag) -> Multivector:
-    """The product kernel: e_A e_B = reorder_sign(A, B) prod(diag[A & B]) e_(A xor B)."""
-    terms: dict = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            factor = reorder_sign(ma, mb)
-            for i in mask_indices(ma & mb):
-                factor = factor * diag[i - 1]
-            mask = ma ^ mb
-            terms[mask] = terms.get(mask, 0) + ca * cb * factor
-    return Multivector(a.n, terms)
+class _BladeImages:
+    """Images of the basis blades under a linear map M, e_i -> sum_j M[j,i] e_j.
+
+    An exact M is held as integer columns over one common denominator
+    ``den``, so image(A) has integer coefficients over den^grade(A); a float
+    M has den = 1.  Each image is formed on first use from its prefix,
+    image(A) = col(lowest bit of A) ^ image(rest), and kept.
+    ``apply_linear_map`` is the independent reference for these images.
+    """
+
+    def __init__(self, matrix: np.ndarray, exact: bool):
+        n = self.n = matrix.shape[0]
+        rows = matrix.tolist()
+        if exact:
+            flat, self.den = _over_common_denominator(x for row in rows for x in row)
+            rows = [flat[i * n:(i + 1) * n] for i in range(n)]
+        else:
+            self.den = 1
+        self.columns = [
+            [(1 << j, rows[j][i]) for j in range(n) if not _prune(rows[j][i])] for i in range(n)
+        ]
+        self.images: dict = {0: {0: 1}}
+
+    def __call__(self, mask: int) -> dict:
+        image = self.images.get(mask)
+        if image is None:
+            low = mask & -mask
+            rest = self(mask ^ low)
+            out: dict = {}
+            for bit, cj in self.columns[low.bit_length() - 1]:
+                row = _sign_row(self.n, bit)
+                for m, c in rest.items():
+                    if not m & bit:
+                        out[m | bit] = out.get(m | bit, 0) + row[m] * cj * c
+            image = self.images[mask] = {m: c for m, c in out.items() if not _prune(c)}
+        return image
+
+    def apply(self, terms: dict, den: int, exact: bool) -> tuple[dict, int]:
+        """sum_A c_A image(A) for the multivector with coefficients c_A / den.
+
+        Exact terms are integers, and so is the result, over a denominator
+        reduced by the gcd of it and every numerator; float terms have
+        den = 1 and give floats over 1.
+        """
+        top = max(map(grade_of_mask, terms), default=0)
+        if exact:
+            scales = [self.den ** (top - k) for k in range(top + 1)]
+        else:
+            scales = [1 / self.den**k for k in range(top + 1)]
+        out: dict = {}
+        for mask, c in terms.items():
+            c = c * scales[grade_of_mask(mask)]
+            for m, v in self(mask).items():
+                out[m] = out.get(m, 0) + c * v
+        if not exact:
+            return out, 1
+        # one common denominator inflates the images of low grades; the gcd
+        # takes the numerators back down before they are multiplied
+        den *= self.den**top
+        g = math.gcd(den, *out.values())
+        return {m: c // g for m, c in out.items()}, den // g
+
+
+def _over_common_denominator(values) -> tuple[list[int], int]:
+    """Rational values as integer numerators over the lcm of their denominators."""
+    ratios = [_ratio(x) for x in values]
+    den = math.lcm(*(d for _, d in ratios))
+    return [num * (den // d) for num, d in ratios], den
+
+
+def _integer_terms(terms: dict) -> tuple[dict, int] | None:
+    """A term map as integer numerators over one denominator; None unless every coefficient is rational."""
+    if not all(isinstance(c, Rational) for c in terms.values()):
+        return None
+    nums, den = _over_common_denominator(terms.values())
+    return dict(zip(terms, nums)), den
 
 
 def clifford(a: Multivector, b: Multivector, metric: Metric) -> Multivector:
     """Clifford (geometric) product of multivectors over the given metric.
 
-    A non-diagonal metric multiplies in its orthogonal frame P^T G P = D.
+    The kernel is one pair loop, e_A e_B = sign(A, B) w[A & B] e_(A xor B),
+    on the metric's orthogonal frame; a non-diagonal metric maps the operands
+    in by P^-1 and the product out by P.  Exact operands on an exact metric
+    run on integer numerators, each with one denominator, and every output
+    coefficient becomes one Fraction (an int when the operands hold ints
+    and the denominator is 1).  Any other operands run the same loop on
+    their own coefficients, with float weights.
     """
     a._check_dim(b)
     if metric.n != a.n:
         raise MetricError(f"metric dimension {metric.n} != operand dimension {a.n}")
-    if metric.is_diagonal:
-        return _clifford_diagonal(a, b, metric.diag)
-    p, p_inv, d = metric.frame
-    product = _clifford_diagonal(apply_linear_map(a, p_inv), apply_linear_map(b, p_inv), d)
-    return apply_linear_map(product, p)
+    n = a.n
+    ia = _integer_terms(a.terms) if metric.exact else None
+    ib = _integer_terms(b.terms) if ia is not None else None
+    exact = ib is not None
+    if exact:
+        (ta, da), (tb, db) = ia, ib
+        w, dw = metric._exact_weights
+    else:
+        (ta, da), (tb, db) = (a.terms, 1), (b.terms, 1)
+        w, dw = metric._float_weights, 1
+    diagonal = metric.is_diagonal
+    if not diagonal:
+        ta, da = metric._to_frame.apply(ta, da, exact)
+        tb, db = metric._to_frame.apply(tb, db, exact)
+    terms: dict = {}
+    for ma, ca in ta.items():
+        row = _sign_row(n, ma)
+        for mb, cb in tb.items():
+            m = ma ^ mb
+            terms[m] = terms.get(m, 0) + ca * cb * row[mb] * w[ma & mb]
+    den = da * db * dw
+    if not diagonal:
+        terms, den = metric._from_frame.apply(terms, den, exact)
+    if not exact:
+        return Multivector(n, terms)
+    as_int = den == 1 and all(type(c) is int for c in (*a.terms.values(), *b.terms.values()))
+    return Multivector(n, {m: c if as_int else Fraction(c, den) for m, c in terms.items() if c})
 
 
 # ---------------------------------------------------------------------------

@@ -186,11 +186,14 @@ class Trivialization:
 def _check_hermitian(h: np.ndarray, label):
     """Reject unless max|H - H^dagger| <= 1e-12 max|H| for each matrix of a stack.
 
-    Written in the positive form, so a NaN entry fails the test; label(k)
-    names matrix k in the error.
+    A non-finite entry is rejected first: with max|H| = inf the residual
+    test would hold for any residual.  label(k) names matrix k in the error.
     """
     if h.size == 0:
         return
+    finite = np.isfinite(h).all(axis=(-2, -1))
+    if not np.all(finite):
+        raise HermiticityError(f"{label(int(np.argmin(finite)))} has a non-finite entry")
     residual = np.max(np.abs(h - np.swapaxes(h.conj(), -1, -2)), axis=(-2, -1))
     scale = np.max(np.abs(h), axis=(-2, -1))
     ok = residual <= 1e-12 * scale

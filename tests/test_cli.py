@@ -405,6 +405,14 @@ def test_transport_misspelt_scenario_tolerance_is_config_error(tmp_path, capsys)
     assert "'unitarty'" in err and "cocycle, correspondence, unitarity" in err
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
+def test_transport_non_finite_hamiltonian_is_config_error(tmp_path, capsys):
+    data = qubit_scenario_dict()
+    data["hamiltonian"]["matrix"]["im"] = [[0, float("inf")], [0, 0]]
+    assert main(["transport", "--scenario", write_scenario(tmp_path, data)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # dirac
 

@@ -54,3 +54,44 @@ def test_report_diff_names_every_field_that_differs(tmp_path, monkeypatch):
         "spinor_rep_report.json:/checks/idempotent-search/relation",
     ]
     assert field_diffs(a, a) == []
+
+
+def canned_run(wall_s, failed=0):
+    """The tail of one `perfbench/run.py --trace 0` output."""
+    env = {"cpu": "Test CPU", "nproc": 2, "python": "3.11.7", "numpy": "2.4.6", "seed": 5}
+    result = {
+        "correct": failed == 0, "attempted": 48, "failed": failed,
+        "metrics": {
+            "setup_s": {"value": 0.3, "unit": "s"},
+            "wall_s": {"value": wall_s, "unit": "s"},
+            "peak_rss_mib": {"value": 36.5, "unit": "MiB"},
+        },
+    }
+    return "\n".join([
+        "[ga-products] 3 passes x 24 ops",
+        "  wall_s 1.5 s",
+        "environment: " + json.dumps(env),
+        json.dumps(result),
+    ]) + "\n"
+
+
+def test_bench_summary_of_canned_runs(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    bench = runpy.run_path(str(SCRIPTS / "bench.py"))
+    parse, summarize = bench["parse_run"], bench["summarize"]
+    base = [parse(canned_run(w)) for w in (1.4, 1.6, 1.5, 1.8, 1.5)]
+    change = [parse(canned_run(w)) for w in (0.15, 0.14, 1.9, 0.13, 0.14)]
+    assert base[0]["environment"] == {"cpu": "Test CPU", "nproc": 2, "python": "3.11.7", "numpy": "2.4.6"}
+    summary = summarize(list(zip(base, change)), bench["end_to_end_directions"]())
+    assert summary["pairs"] == 5
+    assert set(summary["metrics"]) == {"wall_s", "setup_s", "peak_rss_mib"}
+    wall = summary["metrics"]["wall_s"]
+    assert wall["change_wins"] == 4
+    assert wall["base"] == {"median": 1.5, "q1": 1.5, "q3": 1.6}
+    assert wall["change"]["median"] == 0.14
+    # equal values are no win
+    assert summary["metrics"]["setup_s"]["change_wins"] == 0
+    assert summary["failed"] == {"base": 0, "change": 0}
+    one = summarize([(base[0], parse(canned_run(0.2, failed=1)))], {"wall_s": "lower"})
+    assert one["metrics"]["wall_s"]["base"] == {"median": 1.4, "q1": 1.4, "q3": 1.4}
+    assert one["failed"] == {"base": 0, "change": 1}
