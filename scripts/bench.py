@@ -2,16 +2,17 @@
 """Compare two checkouts on one benchmark workload in alternating pairs.
 
 Usage: python scripts/bench.py ROOT_A ROOT_B --workload W --seed S --pairs N
-                               [--seconds T] [--out BENCH.json]
+                               [--out BENCH.json]
 
 ROOT_A is the base and ROOT_B the change.  Each pair runs the unmodified
-``perfbench/run.py --workload W --seed S --seconds T --trace 0`` once in
-each tree, base first in even pairs and change first in odd ones, so a
-drift in machine load falls on both sides alike.  OUT holds one entry per
-workload, replaced when that workload is run again: the machine (cpu,
-nproc, Python and numpy versions, from run.py's environment line), the
-pair count, each side's median and quartiles of every end-to-end metric,
-and in how many pairs the change was better.  Exits 1 if a run reports a
+``perfbench/run.py --workload W --seed S --trace 0`` once in each tree, at
+run.py's default length, base first in even pairs and change first in odd
+ones, so a drift in machine load falls on both sides alike.  OUT holds one
+entry per workload, replaced when that workload is run again: the machine
+(cpu, nproc, Python and numpy versions, from run.py's environment line),
+``run_seconds`` from BENCHMARK.json, the pair count, each side's median and
+quartiles of every end-to-end metric, and in how many pairs the change was
+better.  Exits 1 if a run reports a
 failed operation or a problem.
 """
 
@@ -42,9 +43,8 @@ def parse_run(stdout: str) -> dict:
     }
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+def run_once(root: Path, workload: str, seed: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n{proc.stderr}")
@@ -79,8 +79,11 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
     }
 
 
-def end_to_end_directions() -> dict[str, str]:
-    spec = json.loads((REPO / "BENCHMARK.json").read_text())
+def benchmark_spec() -> dict:
+    return json.loads((REPO / "BENCHMARK.json").read_text())
+
+
+def end_to_end_directions(spec: dict) -> dict[str, str]:
     return {m["name"]: m["better"] for m in spec["end_to_end"]}
 
 
@@ -91,7 +94,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=int, default=30, help="run.py --seconds, per run")
     parser.add_argument("--out", type=Path, default=Path("BENCH.json"))
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -101,17 +103,18 @@ def main(argv=None) -> int:
     for i in range(args.pairs):
         runs = [None, None]
         for side in ((0, 1) if i % 2 == 0 else (1, 0)):
-            runs[side] = run_once(roots[side], args.workload, args.seed, args.seconds)
+            runs[side] = run_once(roots[side], args.workload, args.seed)
         pairs.append(tuple(runs))
         base, change = (run["metrics"]["wall_s"] for run in runs)
         print(f"pair {i + 1}/{args.pairs}: wall_s base {base:.4g} s, change {change:.4g} s", flush=True)
 
-    summary = summarize(pairs, end_to_end_directions())
+    spec = benchmark_spec()
+    summary = summarize(pairs, end_to_end_directions(spec))
     # one file gathers every workload; a rerun of a workload replaces its entry
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
     record[args.workload] = {
         "seed": args.seed,
-        "seconds_per_run": args.seconds,
+        "run_seconds": spec["run_seconds"],
         "environment": pairs[0][1]["environment"],
         **summary,
     }

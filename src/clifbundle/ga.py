@@ -7,18 +7,19 @@ the identity suites assert equality rather than closeness.
 
 There is one Clifford-product kernel, a pair loop over an orthogonal
 basis: e_A e_B = sign(A, B) w[A & B] e_(A xor B), with w[m] the product of
-the frame's squares D_i over the bits of m.  The sign of every pair comes
-from a row ``_sign_row(n, A)``, formed once per (n, A) with numpy bit
-counts and shared by all metrics of one dimension.  Each Metric caches its
-weights w and the blade images of its frame maps.  A general symmetric
-metric reaches the kernel through its orthogonal frame: a congruence
-P^T G P = D, found once per Metric, exactly by symmetric elimination over
-Fractions for an exact gram and by an eigendecomposition for a float gram.
-Operands are mapped into the frame by P^-1, multiplied there and mapped
-back by P.  When every coefficient and the metric are rational, the loop
-runs on integer numerators over one denominator per operand and each
-output coefficient becomes one Fraction; float operands take the same loop
-with denominator 1 and float weights.
+the frame's squares D_i over the bits of m.  The sign of a pair is the
+parity of the bits of B under ``_suffix_parity(A)``, a mask formed once per
+left blade, so the loop's cost follows the operands' terms and never 2^n.
+Each Metric keeps its weights w and the blade images of its frame maps,
+each formed on first use.  A general symmetric metric reaches the kernel
+through its orthogonal frame: a congruence P^T G P = D, found once per
+Metric, exactly by symmetric elimination over Fractions for an exact gram
+and by an eigendecomposition for a float gram.  Operands are mapped into
+the frame by P^-1, multiplied there and mapped back by P.  When every
+coefficient and the metric are rational, the loop runs on integer
+numerators over one denominator per operand and each output coefficient
+becomes one Fraction; float operands take the same loop with denominator 1
+and float weights.
 
 ``wedge``, ``interior`` and ``apply_linear_map`` form their signs with
 ``reorder_sign`` and read none of these caches, so the laws that relate
@@ -213,25 +214,32 @@ class Metric:
         return self.diag if self.is_diagonal else self.frame[2]
 
     @cached_property
-    def _exact_weights(self) -> tuple[list[int], int]:
+    def _exact_weights(self) -> tuple[dict, int]:
         """(w, dw) with prod_{i in m} D_i = w[m] / dw for every mask m, dw = prod den(D_i)."""
         squares = [_ratio(x) for x in self._squares]
+
+        def entry(m):
+            i = m.bit_length() - 1
+            num, den = squares[i]
+            return w[m ^ (1 << i)] // den * num
+
         dw = math.prod(den for _, den in squares)
-        w = [dw]
-        for num, den in squares:
-            # the masks with bit i highest follow the 2^i masks below them
-            w += [c // den * num for c in w]
+        w = _Lazy(entry, {0: dw})
         return w, dw
 
     @cached_property
-    def _float_weights(self) -> list:
+    def _float_weights(self) -> dict:
         """prod_{i in m} D_i as a float, multiplied in ascending i for a float frame."""
         if self.exact:
             w, dw = self._exact_weights
-            return [c / dw for c in w]
-        w = [1]
-        for x in map(float, self._squares):
-            w += [c * x for c in w]
+            return _Lazy(lambda m: w[m] / dw)
+        squares = [float(x) for x in self._squares]
+
+        def entry(m):
+            i = m.bit_length() - 1
+            return w[m ^ (1 << i)] * squares[i]
+
+        w = _Lazy(entry, {0: 1})
         return w
 
     @cached_property
@@ -287,21 +295,31 @@ def reorder_sign(a: int, b: int) -> int:
     return -1 if swaps & 1 else 1
 
 
-@cache
-def _sign_row(n: int, a: int) -> list[int]:
-    """reorder_sign(a, b) for every b < 2^n, from numpy bit counts.
+def _suffix_parity(a: int) -> int:
+    """Mask of the bits j with an odd number of bits of a above j.
 
-    A Python list, so the product loop multiplies Python ints only; cached
-    per (n, a), so every metric of one dimension shares the rows.
+    reorder_sign(a, b) is -1 exactly when b & _suffix_parity(a) has an odd
+    bit count: each bit j of b passes the bits of a above it.  The mask is
+    the xor of a >> 1, a >> 2, ..., folded in doubling shifts.
     """
-    b = np.arange(1 << n)
-    swaps = np.zeros(1 << n, dtype=np.uint8)
-    rest = a
-    while rest:
-        low = rest & -rest
-        swaps ^= np.bitwise_count(b & (low - 1)) & 1
-        rest ^= low
-    return (1 - 2 * swaps.astype(np.int64)).tolist()
+    t = a >> 1
+    shift = 1
+    while t >> shift:
+        t ^= t >> shift
+        shift <<= 1
+    return t
+
+
+class _Lazy(dict):
+    """A table whose entry for a key is formed by ``entry(key)`` on first lookup and kept."""
+
+    def __init__(self, entry, start=()):
+        super().__init__(start)
+        self.entry = entry
+
+    def __missing__(self, key):
+        value = self[key] = self.entry(key)
+        return value
 
 
 def _ratio(x) -> tuple[int, int]:
@@ -512,13 +530,13 @@ class _BladeImages:
 
     An exact M is held as integer columns over one common denominator
     ``den``, so image(A) has integer coefficients over den^grade(A); a float
-    M has den = 1.  Each image is formed on first use from its prefix,
+    M has den = 1.  ``images[A]`` is formed on first use from its prefix,
     image(A) = col(lowest bit of A) ^ image(rest), and kept.
     ``apply_linear_map`` is the independent reference for these images.
     """
 
     def __init__(self, matrix: np.ndarray, exact: bool):
-        n = self.n = matrix.shape[0]
+        n = matrix.shape[0]
         rows = matrix.tolist()
         if exact:
             flat, self.den = _over_common_denominator(x for row in rows for x in row)
@@ -528,28 +546,26 @@ class _BladeImages:
         self.columns = [
             [(1 << j, rows[j][i]) for j in range(n) if not _prune(rows[j][i])] for i in range(n)
         ]
-        self.images: dict = {0: {0: 1}}
+        self.images = _Lazy(self._image, {0: {0: 1}})
 
-    def __call__(self, mask: int) -> dict:
-        image = self.images.get(mask)
-        if image is None:
-            low = mask & -mask
-            rest = self(mask ^ low)
-            out: dict = {}
-            for bit, cj in self.columns[low.bit_length() - 1]:
-                row = _sign_row(self.n, bit)
-                for m, c in rest.items():
-                    if not m & bit:
-                        out[m | bit] = out.get(m | bit, 0) + row[m] * cj * c
-            image = self.images[mask] = {m: c for m, c in out.items() if not _prune(c)}
-        return image
+    def _image(self, mask: int) -> dict:
+        low = mask & -mask
+        rest = self.images[mask ^ low]
+        out: dict = {}
+        for bit, cj in self.columns[low.bit_length() - 1]:
+            below = bit - 1  # _suffix_parity(bit)
+            for m, c in rest.items():
+                if not m & bit:
+                    v = cj * c
+                    out[m | bit] = out.get(m | bit, 0) + (-v if (m & below).bit_count() & 1 else v)
+        return {m: c for m, c in out.items() if not _prune(c)}
 
     def apply(self, terms: dict, den: int, exact: bool) -> tuple[dict, int]:
         """sum_A c_A image(A) for the multivector with coefficients c_A / den.
 
-        Exact terms are integers, and so is the result, over a denominator
-        reduced by the gcd of it and every numerator; float terms have
-        den = 1 and give floats over 1.
+        Exact terms are integers, and so is the result, over
+        den * self.den^(top grade); float terms have den = 1 and give floats
+        over 1.
         """
         top = max(map(grade_of_mask, terms), default=0)
         if exact:
@@ -559,15 +575,9 @@ class _BladeImages:
         out: dict = {}
         for mask, c in terms.items():
             c = c * scales[grade_of_mask(mask)]
-            for m, v in self(mask).items():
+            for m, v in self.images[mask].items():
                 out[m] = out.get(m, 0) + c * v
-        if not exact:
-            return out, 1
-        # one common denominator inflates the images of low grades; the gcd
-        # takes the numerators back down before they are multiplied
-        den *= self.den**top
-        g = math.gcd(den, *out.values())
-        return {m: c // g for m, c in out.items()}, den // g
+        return (out, den * self.den**top) if exact else (out, 1)
 
 
 def _over_common_denominator(values) -> tuple[list[int], int]:
@@ -615,10 +625,11 @@ def clifford(a: Multivector, b: Multivector, metric: Metric) -> Multivector:
         tb, db = metric._to_frame.apply(tb, db, exact)
     terms: dict = {}
     for ma, ca in ta.items():
-        row = _sign_row(n, ma)
+        odd = _suffix_parity(ma)
         for mb, cb in tb.items():
             m = ma ^ mb
-            terms[m] = terms.get(m, 0) + ca * cb * row[mb] * w[ma & mb]
+            c = ca * cb * w[ma & mb]
+            terms[m] = terms.get(m, 0) + (-c if (mb & odd).bit_count() & 1 else c)
     den = da * db * dw
     if not diagonal:
         terms, den = metric._from_frame.apply(terms, den, exact)

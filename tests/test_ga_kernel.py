@@ -1,10 +1,11 @@
 """The Clifford-product kernel against its independent references.
 
-`clifford` runs one pair loop fed by cached sign rows, frame weights and
-blade images.  These tests hold each cache to the code it replaces
-(`reorder_sign`, `apply_linear_map`) and the whole product to a copy of the
-plain Fraction kernel, and check that `wedge`, `interior` and
-`apply_linear_map` read none of the caches.
+`clifford` runs one pair loop fed by a parity mask per left blade, and by
+frame weights and blade images cached on the Metric.  These tests hold
+each piece to the code it replaces (`reorder_sign`, `apply_linear_map`)
+and the whole product to a copy of the plain Fraction kernel, check that
+`wedge`, `interior` and `apply_linear_map` read none of them, and that a
+sparse product's cost does not grow with 2^n.
 """
 
 import random
@@ -93,11 +94,12 @@ def test_exact_general_metrics_have_squares_other_than_unit():
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_sign_row_is_reorder_sign_for_every_pair(n):
+def test_suffix_parity_gives_reorder_sign_for_every_pair(n):
     for a in range(1 << n):
-        row = ga._sign_row(n, a)
-        assert all(type(s) is int for s in row)
-        assert row == [reorder_sign(a, b) for b in range(1 << n)]
+        odd = ga._suffix_parity(a)
+        assert [-1 if (b & odd).bit_count() & 1 else 1 for b in range(1 << n)] == [
+            reorder_sign(a, b) for b in range(1 << n)
+        ]
 
 
 @pytest.mark.parametrize("metric", [m for m in DIAGONAL_METRICS if m.exact] + EXACT_GENERAL_METRICS)
@@ -160,7 +162,7 @@ def test_blade_images_match_apply_linear_map(metric):
     for images, matrix in ((metric._to_frame, metric.frame[1]), (metric._from_frame, metric.frame[0])):
         for mask in range(1 << n):
             scale = F(1, images.den ** grade_of_mask(mask))
-            got = Multivector(n, {m: c * scale for m, c in images(mask).items()})
+            got = Multivector(n, {m: c * scale for m, c in images.images[mask].items()})
             ref = apply_linear_map(Multivector(n, {mask: F(1) if metric.exact else 1.0}), matrix)
             if metric.exact:
                 assert got == ref
@@ -180,8 +182,8 @@ def test_wedge_interior_and_linear_maps_read_no_kernel_cache(monkeypatch):
     def refuse(*args):
         raise AssertionError("kernel cache read")
 
-    monkeypatch.setattr(ga, "_sign_row", refuse)
-    monkeypatch.setattr(ga._BladeImages, "__call__", refuse)
+    monkeypatch.setattr(ga, "_suffix_parity", refuse)
+    monkeypatch.setattr(ga._BladeImages, "apply", refuse)
     assert (wedge(v, a), interior(v, a, metric), apply_linear_map(a, matrix)) == expected
     with pytest.raises(AssertionError, match="kernel cache read"):
         clifford(v, a, metric)
@@ -200,3 +202,29 @@ def test_vector_product_split_holds_through_the_caches():
         v = Multivector(n, {1 << i: F(rng.randint(-5, 5), rng.randint(1, 3)) for i in range(n)})
         a = operand(rng, n, exact=True, dense=True)
         assert clifford(v, a, metric) == wedge(v, a) + interior(v, a, metric)
+
+
+@pytest.mark.parametrize("exact_gram", [False, True])
+def test_sparse_products_at_large_n_touch_only_their_terms(monkeypatch, exact_gram):
+    # n = 40 has 2^40 blades: any table over every mask would not fit
+    monkeypatch.setenv("CLIFBUNDLE_NMAX", "40")
+    n = 40
+    if exact_gram:
+        # tridiagonal with 1/3 couplings: a general frame whose squares are not +-1
+        rows = np.zeros((n, n), dtype=object)
+        for i in range(n):
+            rows[i, i] = 1 if i % 2 else -1
+            if i:
+                rows[i, i - 1] = rows[i - 1, i] = F(1, 3)
+        metric = Metric.from_gram(rows)
+    else:
+        metric = Signature(20, 20).metric()
+    rng = random.Random(40)
+    u, v = (
+        Multivector(n, {1 << i: F(rng.randint(-5, 5), 3) for i in rng.sample(range(n), 4)})
+        for _ in range(2)
+    )
+    assert clifford(u, v, metric) == wedge(u, v) + interior(u, v, metric)
+    # a pair of vectors meets in no bit or in one, so only those weights are formed
+    weights, _ = metric._exact_weights
+    assert len(weights) <= 1 + n

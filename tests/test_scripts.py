@@ -82,7 +82,7 @@ def test_bench_summary_of_canned_runs(monkeypatch):
     base = [parse(canned_run(w)) for w in (1.4, 1.6, 1.5, 1.8, 1.5)]
     change = [parse(canned_run(w)) for w in (0.15, 0.14, 1.9, 0.13, 0.14)]
     assert base[0]["environment"] == {"cpu": "Test CPU", "nproc": 2, "python": "3.11.7", "numpy": "2.4.6"}
-    summary = summarize(list(zip(base, change)), bench["end_to_end_directions"]())
+    summary = summarize(list(zip(base, change)), bench["end_to_end_directions"](bench["benchmark_spec"]()))
     assert summary["pairs"] == 5
     assert set(summary["metrics"]) == {"wall_s", "setup_s", "peak_rss_mib"}
     wall = summary["metrics"]["wall_s"]
