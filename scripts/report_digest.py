@@ -48,6 +48,9 @@ RUNS = [
     ["dirac", "--scenario", "dispersion", "--grid", "8,8,8"],
     ["dirac", "--scenario", "dispersion", "--grid", "256",
      "--potential", "plane-wave-gauge", "--charge", "0.5"],
+    # a site-dependent coupling on three axes: the step loop's stacked derivative matmul
+    ["dirac", "--scenario", "dispersion", "--grid", "8,8,8",
+     "--potential", "plane-wave-gauge", "--charge", "0.5"],
     # massless: the k = 0 mode has omega = 0 and takes the limit of the closed form
     ["dirac", "--scenario", "dispersion", "--mass", "0"],
     ["dirac", "--scenario", "kg-roundtrip"],

@@ -339,9 +339,11 @@ def _potential_preset(name: str, grid: fl.Grid, n_components: int) -> fl.EMPoten
 
 
 # largest grid the dirac scenarios accept; a 4-spinor complex field on
-# 2^22 sites takes 256 MiB, and a step loop (rk4_linear) over it adds about
-# ten field arrays of operator and stage scratch (162 MiB on 64^3, where the
-# field takes 16 MiB)
+# 2^22 sites takes 256 MiB.  The step loop (rk4_linear) over a site-dependent
+# potential peaks at 9.9 field arrays under tracemalloc: the state, the stage
+# input and three RK4 stages, the prepared operator's three-axis difference
+# scratch and its matmul output, and its coupling arrays (19.8 MiB on 32^3,
+# where the field takes 2 MiB; 158 MiB on 64^3)
 MAX_GRID_SITES = 1 << 22
 
 
@@ -521,6 +523,10 @@ def _dirac_wrap(args, report: Report, tols: dict, rng) -> None:
     )
 
 
+# grid sites per block of the field snapshot; bounds the Python floats held at once
+SNAPSHOT_ROWS = 1 << 16
+
+
 def _write_field_snapshot(args, grid: fl.Grid, field_obj, name: str) -> None:
     if not args.out:
         return
@@ -544,12 +550,17 @@ def _write_field_snapshot(args, grid: fl.Grid, field_obj, name: str) -> None:
             [f"x{a}" for a in range(grid.dims)]
             + [f"{part}_c{k}" for k in range(ncomp) for part in ("re", "im")]
         )
-        for idx in np.ndindex(grid.extents):
-            coords = [grid.spacing[a] * idx[a] for a in range(grid.dims)]
-            vals = []
+        flat = comps.reshape(ncomp, -1)
+        for lo in range(0, grid.volume, SNAPSHOT_ROWS):
+            hi = min(lo + SNAPSHOT_ROWS, grid.volume)
+            # Python floats, so each cell is written as repr(float)
+            columns = [
+                (idx * h).tolist()
+                for idx, h in zip(np.unravel_index(np.arange(lo, hi), grid.extents), grid.spacing)
+            ]
             for k in range(ncomp):
-                vals += [comps[(k,) + idx].real, comps[(k,) + idx].imag]
-            writer.writerow(coords + vals)
+                columns += [flat[k, lo:hi].real.tolist(), flat[k, lo:hi].imag.tolist()]
+            writer.writerows(zip(*columns))
 
 
 # each dirac scenario: its runner and the --tol names it reads, with their defaults

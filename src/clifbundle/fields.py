@@ -1,18 +1,20 @@
 """Flat-grid Dirac/Klein-Gordon operators and spin-vector constructions.
 
 Fields are complex arrays on uniform periodic grids; spatial derivatives
-are second-order central differences (np.roll).  Time stepping is the
-transport module's RK4 scheme: transport.rk4_linear steps the whole grid,
-and a Klein-Gordon doublet, or a Dirac field whose coupling e A is the same
-at every site, is stepped one Fourier mode at a time instead
-(_evolve_modes), by the closed form of the mode's N RK4 steps that a
-symbol with two eigenvalues c +- omega admits.  The Minkowski gamma
-sets are the exact algebra-level representations read as floats, with no
-change of basis: the 1+1 case uses the Cl(1,1) matrices directly, the 3+1
-case multiplies the Cl(3,1) set by i so the metric becomes
-diag(+1,-1,-1,-1) with time as index 0; the -i of the momentum operator
-lives in the complex scalars, not in the (real) algebra.  A set that fails
-its anticommutator or Hermiticity gate raises spinor.ClosureError.
+are second-order central differences, by slice subtraction in the Dirac
+Hamiltonian, which is prepared once per evolution (DiracHamiltonian), and
+by np.roll elsewhere.  Time stepping is the transport module's RK4 scheme:
+transport.rk4_linear steps the whole grid, and a Klein-Gordon doublet, or
+a Dirac field whose coupling e A is the same at every site, is stepped one
+Fourier mode at a time instead (_evolve_modes), by the closed form of the
+mode's N RK4 steps that a symbol with two eigenvalues c +- omega admits.
+The Minkowski gamma sets are the exact algebra-level representations read
+as floats, with no change of basis: the 1+1 case uses the Cl(1,1) matrices
+directly, the 3+1 case multiplies the Cl(3,1) set by i so the metric
+becomes diag(+1,-1,-1,-1) with time as index 0; the -i of the momentum
+operator lives in the complex scalars, not in the (real) algebra.  A set
+that fails its anticommutator or Hermiticity gate raises
+spinor.ClosureError.
 
 Known discretization caveat: the naive central-difference Dirac operator
 exhibits fermion doubling; tests and shipped scenarios use smooth
@@ -289,7 +291,22 @@ def second_diff(arr: np.ndarray, axis: int, spacing: float) -> np.ndarray:
 
 def _apply_matrix(mat: np.ndarray, comp: np.ndarray) -> np.ndarray:
     """(m x m) matrix acting on the spinor axis of (m, *grid) components."""
-    return np.tensordot(mat, comp, axes=(1, 0))
+    return (mat @ comp.reshape(len(comp), -1)).reshape(comp.shape)
+
+
+def _periodic_difference_slices(axis: int) -> list:
+    """(out, ahead, behind) indices of psi(x + h) - psi(x - h) along an array axis.
+
+    One triple each for the interior, the first site and the last site.
+    """
+    def at(s):
+        return (slice(None),) * axis + (s,)
+
+    return [
+        (at(slice(1, -1)), at(slice(2, None)), at(slice(None, -2))),
+        (at(slice(0, 1)), at(slice(1, 2)), at(slice(-1, None))),
+        (at(slice(-1, None)), at(slice(0, 1)), at(slice(-2, -1))),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -502,25 +519,63 @@ def _cfl_check(grid: Grid, dt: float):
         raise StabilityError(f"dt = {dt} exceeds the stability bound spacing/4 = {bound}")
 
 
+class DiracHamiltonian:
+    """H_D psi = [gamma0 gamma^j (-i d_j + e A_j) + m gamma0 + e A_0] psi, prepared once.
+
+    Obtained from the covariant equation by multiplying with gamma0 and
+    isolating i d_t; spatial axis j of the grid carries spacetime index j+1.
+    pot=None drops every A term.  The alphas gamma0 gamma^j sit side by side
+    in one m x (m d) matrix with the -i/(2 h_j) of the difference folded in,
+    so a call writes psi(x + h_j) - psi(x - h_j) + 2i h_j e A_j psi for each
+    axis into one scratch by slice subtraction and applies all axes with one
+    matmul.  The scratch lives only until that matmul.  A call takes
+    (time, psi), the right-hand side of rk4_linear and _evolve_modes.
+    """
+
+    def __init__(
+        self, grid: Grid, pot: EMPotential | None, mass: float, charge: float,
+        gset: FieldGammaSet,
+    ):
+        self.mass_term = mass * gset.gamma0
+        self.alphas = np.concatenate(
+            [gset.gamma0_products[j + 1] * (-0.5j / h) for j, h in enumerate(grid.spacing)],
+            axis=1,
+        )
+        self._scratch_shape = (grid.dims, gset.spinor_dim) + grid.extents
+        self._stencils = [_periodic_difference_slices(j + 1) for j in range(grid.dims)]
+        self._a0 = self._axis_coupling = None
+        if pot is not None:
+            self._a0 = (charge * pot.a[0]).reshape(-1)
+            self._axis_coupling = [
+                2j * h * (charge * pot.a[j + 1]) for j, h in enumerate(grid.spacing)
+            ]
+
+    def _derivative_terms(self, psi: np.ndarray) -> np.ndarray:
+        """sum_j alpha_j (-i d_j + e A_j) psi as an (m, V) array."""
+        scratch = np.empty(self._scratch_shape, dtype=complex)
+        for j, stencil in enumerate(self._stencils):
+            diff = scratch[j]
+            for dst, ahead, behind in stencil:
+                np.subtract(psi[ahead], psi[behind], out=diff[dst])
+            if self._axis_coupling is not None:
+                diff += self._axis_coupling[j] * psi
+        return self.alphas @ scratch.reshape(self.alphas.shape[1], -1)
+
+    def __call__(self, time, psi: np.ndarray) -> np.ndarray:
+        out = self._derivative_terms(psi)
+        flat = psi.reshape(len(psi), -1)
+        out += self.mass_term @ flat
+        if self._a0 is not None:
+            out += self._a0 * flat
+        return out.reshape(psi.shape)
+
+
 def dirac_hamiltonian(
     psi_comp: np.ndarray, grid: Grid, pot: EMPotential | None, mass: float, charge: float,
     gset: FieldGammaSet,
 ) -> np.ndarray:
-    """H_D psi = [gamma0 gamma^j (-i d_j + e A_j) + m gamma0 + e A_0] psi.
-
-    Obtained from the covariant equation by multiplying with gamma0 and
-    isolating i d_t; spatial axis j of the grid carries spacetime index j+1.
-    pot=None drops every A term.
-    """
-    out = mass * _apply_matrix(gset.gamma0, psi_comp)
-    if pot is not None:
-        out = charge * pot.a[0] * psi_comp + out
-    for j in range(grid.dims):
-        term = -1j * central_diff(psi_comp, j + 1, grid.spacing[j])
-        if pot is not None:
-            term = term + charge * pot.a[j + 1] * psi_comp
-        out = out + _apply_matrix(gset.gamma0_products[j + 1], term)
-    return out
+    """H_D psi, one apply of a freshly prepared DiracHamiltonian."""
+    return DiracHamiltonian(grid, pot, mass, charge, gset)(0.0, psi_comp)
 
 
 # Fourier modes stepped per batch of _evolve_modes; bounds its transient memory
@@ -627,7 +682,8 @@ def dirac_hamiltonian_evolve(
 
     When charge * A is the same at every site, H_D is translation-invariant
     and the RK4 steps run one Fourier mode at a time (_evolve_modes);
-    otherwise rk4_linear steps the whole grid.  Both take the same steps.
+    otherwise rk4_linear steps the whole grid.  Both take the same steps,
+    and both apply the one DiracHamiltonian prepared here.
     """
     grid = psi0.grid
     grid.require_periodic("dirac_hamiltonian_evolve")
@@ -645,10 +701,8 @@ def dirac_hamiltonian_evolve(
             )
         coupling = (charge * pot.a).reshape(len(pot.a), -1)
         invariant = bool(np.all(coupling == coupling[:, :1]))
-
-    def apply_h(time, y):
-        return dirac_hamiltonian(y, grid, pot, mass, charge, gset)
-
+        del coupling  # not held through the evolution
+    apply_h = DiracHamiltonian(grid, pot, mass, charge, gset)
     if invariant:
         comp = _evolve_modes(apply_h, psi0.components, grid, t, dt)
     else:

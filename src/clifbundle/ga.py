@@ -121,9 +121,13 @@ def _orthogonal_frame(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
     return p, p_inv, tuple(g[k, k] for k in range(n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Metric:
     """Symmetric nondegenerate bilinear form, stored as a dense Gram matrix.
+
+    Compared and hashed by identity: a generated __eq__ would compare the
+    numpy gram, whose truth value is ambiguous.  Signature.metric() shares
+    one Metric per signature.
 
     ``frame`` is its orthogonal frame (P, P^-1, D).  When every gram entry is
     an int or a Fraction it is exact and its pivots alone decide degeneracy;
@@ -134,7 +138,7 @@ class Metric:
 
     n: int
     gram: np.ndarray = field(repr=False)
-    frame: tuple = field(init=False, repr=False, compare=False)
+    frame: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         check_dimension(self.n)

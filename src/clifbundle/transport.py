@@ -552,8 +552,11 @@ def _matrix_from_json(obj) -> np.ndarray:
     """Complex matrix from {"re": [[...]], "im": [[...]]} or a plain real array."""
     if isinstance(obj, dict):
         re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
-        return re + 1j * im
+        im = np.asarray(obj.get("im", 0.0), dtype=float)
+        # filled part by part: re + 1j * im would turn an infinite im into nan + inf j
+        out = np.empty(np.broadcast_shapes(re.shape, im.shape), dtype=complex)
+        out.real, out.imag = re, im
+        return out
     return np.asarray(obj, dtype=float).astype(complex)
 
 

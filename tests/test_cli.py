@@ -1,3 +1,5 @@
+import argparse
+import csv
 import dataclasses
 import json
 from fractions import Fraction as F
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 
 from clifbundle import cli, exact
+from clifbundle import fields as fl
 from clifbundle import transport as tr
 from clifbundle import spinor as sp
 from clifbundle.cli import main
@@ -405,7 +408,7 @@ def test_transport_misspelt_scenario_tolerance_is_config_error(tmp_path, capsys)
     assert "'unitarty'" in err and "cocycle, correspondence, unitarity" in err
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_transport_non_finite_hamiltonian_is_config_error(tmp_path, capsys):
     data = qubit_scenario_dict()
     data["hamiltonian"]["matrix"]["im"] = [[0, float("inf")], [0, 0]]
@@ -459,6 +462,42 @@ def test_dirac_dispersion_writes_field_snapshot(tmp_path):
     lines = (out / "dirac_field.csv").read_text().splitlines()
     assert lines[0] == "x0,re_c0,im_c0,re_c1,im_c1"
     assert len(lines) == 65
+
+
+def row_by_row_snapshot_csv(path, grid, comps) -> None:
+    """The field snapshot written one site at a time: the reference for the block writer."""
+    ncomp = comps.shape[0]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            [f"x{a}" for a in range(grid.dims)]
+            + [f"{part}_c{k}" for k in range(ncomp) for part in ("re", "im")]
+        )
+        for idx in np.ndindex(grid.extents):
+            coords = [grid.spacing[a] * idx[a] for a in range(grid.dims)]
+            vals = []
+            for k in range(ncomp):
+                vals += [comps[(k,) + idx].real, comps[(k,) + idx].imag]
+            writer.writerow(coords + vals)
+
+
+@pytest.mark.parametrize("block", [cli.SNAPSHOT_ROWS, 7])
+def test_field_snapshot_bytes_match_the_row_by_row_writer(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(cli, "SNAPSHOT_ROWS", block)
+    grid = fl.Grid((4, 5, 6), (0.1, 2 * np.pi / 5, 1 / 3))
+    rng = np.random.default_rng(8)
+    comps = rng.normal(size=(2,) + grid.extents) + 1j * rng.normal(size=(2,) + grid.extents)
+    comps[0, 0, 0, 0] = complex(-0.0, 5e-324)
+    comps[1, 3, 4, 5] = complex(1e16, -0.0)
+    comps[0, 2, 1, 3] = complex(-5e-324, -1e16)
+    args = argparse.Namespace(out=str(tmp_path / "new"))
+    cli._write_field_snapshot(args, grid, fl.SpinorField(grid, comps), "field")
+    row_by_row_snapshot_csv(tmp_path / "old.csv", grid, comps)
+    assert (tmp_path / "new" / "field.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    scalar = fl.ScalarField(grid, comps[1])
+    cli._write_field_snapshot(args, grid, scalar, "scalar")
+    row_by_row_snapshot_csv(tmp_path / "old_scalar.csv", grid, comps[1][None])
+    assert (tmp_path / "new" / "scalar.csv").read_bytes() == (tmp_path / "old_scalar.csv").read_bytes()
 
 
 def test_dirac_unknown_scenario_is_usage_error():

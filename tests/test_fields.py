@@ -496,6 +496,81 @@ def test_mode_symbol_is_the_lattice_dirac_symbol(g4):
     assert np.max(np.abs(symbol - expected)) <= 1e-13
 
 
+PAULI = [
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]]),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+]
+
+
+def written_out_gammas(m: int) -> list:
+    """gamma0 and three spatial gammas for eta = diag(+1, -1, ...), not read from the library.
+
+    m = 2: gamma0 = sigma3, gamma^j = i sigma_j for j = 1, 2; m = 4: the Dirac
+    representation gamma0 = diag(I, -I), gamma^j = [[0, sigma_j], [-sigma_j, 0]].
+    """
+    if m == 2:
+        return [PAULI[2], 1j * PAULI[0], 1j * PAULI[1]]
+    zero, eye = np.zeros((2, 2)), np.eye(2)
+    return [np.block([[eye, zero], [zero, -eye]])] + [np.block([[zero, s], [-s, zero]]) for s in PAULI]
+
+
+def dense_dirac_hamiltonian(gammas, extents, spacing, a, mass, charge) -> np.ndarray:
+    """H_D as one (m V) x (m V) matrix over spinor-major, C-ordered sites, built with np.kron.
+
+    m gamma0 + e A_0 + sum_j alpha_j (-i D_j + e A_j), alpha_j = gamma0 gamma^j,
+    with D_j the periodic central-difference matrix of axis j.
+    """
+    m, volume = len(gammas[0]), int(np.prod(extents))
+
+    def on_axis(axis, mat):
+        out = np.eye(1)
+        for k, n in enumerate(extents):
+            out = np.kron(out, mat if k == axis else np.eye(n))
+        return out
+
+    h = np.kron(mass * gammas[0], np.eye(volume))
+    for j, (n, step) in enumerate(zip(extents, spacing)):
+        diff = (np.roll(np.eye(n), 1, axis=1) - np.roll(np.eye(n), -1, axis=1)) / (2 * step)
+        alpha = gammas[0] @ gammas[j + 1]
+        h = h + np.kron(alpha, -1j * on_axis(j, diff))
+        if a is not None:
+            h = h + np.kron(alpha, np.diag(charge * a[j + 1].ravel()))
+    if a is not None:
+        h = h + np.kron(np.eye(m), np.diag(charge * a[0].ravel()))
+    return h
+
+
+@pytest.mark.parametrize("charge", [0.0, 0.7])
+@pytest.mark.parametrize("potential", ["none", "constant", "site-dependent"])
+@pytest.mark.parametrize(
+    "m, extents",
+    [(2, (9,)), (2, (5, 7)), (4, (11,)), (4, (4, 6)), (4, (4, 5, 6))],
+)
+def test_prepared_dirac_hamiltonian_matches_a_dense_matrix(m, extents, potential, charge):
+    d = len(extents)
+    grid = Grid(extents, tuple(0.3 + 0.17 * j for j in range(d)))
+    gammas = written_out_gammas(m)
+    gset = FieldGammaSet(d + 1, (1,) + (-1,) * d, gammas[: d + 1])
+    rng = np.random.default_rng(m + 10 * d)
+    a = {
+        "none": None,
+        "constant": np.ones((d + 1,) + extents) * rng.normal(size=(d + 1,) + (1,) * d),
+        "site-dependent": rng.normal(size=(d + 1,) + extents),
+    }[potential]
+    pot = None if a is None else EMPotential(grid, a)
+    psi = random_spinor(grid, m, seed=d).components
+    ref = dense_dirac_hamiltonian(gammas, extents, grid.spacing, a, 1.3, charge) @ psi.ravel()
+    op = fields.DiracHamiltonian(grid, pot, 1.3, charge, gset)
+    got = op(0.0, psi)
+    assert np.max(np.abs(got.ravel() - ref)) <= 1e-14 * np.max(np.abs(ref))
+    # one operator serves every call: a second input leaves the first result as it was
+    other = op(0.5, psi[::-1].copy())
+    assert not np.shares_memory(got, other)
+    assert np.array_equal(op(0.0, psi), got)
+    assert np.array_equal(dirac_hamiltonian(psi, grid, pot, 1.3, charge, gset), got)
+
+
 @pytest.fixture
 def fields_loop_calls(monkeypatch):
     """The argument tuples of every rk4_linear call made through the fields module."""

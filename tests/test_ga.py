@@ -363,6 +363,14 @@ def test_inverse_gram_is_formed_once_per_metric():
     assert metric_raise(metric_dual(e(1, 2), g), g) == e(1, 2)
 
 
+def test_metrics_compare_and_hash_by_identity():
+    a, b = Metric.euclidean(2), Metric.euclidean(2)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+    assert Signature(3, 1).metric() == Signature(3, 1).metric()
+    assert {Signature(3, 1).metric(): "cl31"}[Signature(3, 1).metric()] == "cl31"
+
+
 def test_scalar_product_examples():
     g = Metric.euclidean(2)
     assert scalar_product(e(1, 2), e(1, 2), g) == F(1)

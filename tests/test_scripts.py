@@ -95,3 +95,34 @@ def test_bench_summary_of_canned_runs(monkeypatch):
     one = summarize([(base[0], parse(canned_run(0.2, failed=1)))], {"wall_s": "lower"})
     assert one["metrics"]["wall_s"]["base"] == {"median": 1.4, "q1": 1.4, "q3": 1.4}
     assert one["failed"] == {"base": 0, "change": 1}
+    # per-op rows: each side's median over the pairs of each op's latency
+    for run, op_s in zip(base + change, [[0.5, 0.01], [0.7, 0.03], [0.6, 0.02], [0.9, 0.02], [0.6, 0.02],
+                                          [0.2, 0.02], [0.3, 0.01], [0.1, 0.02], [0.2, 0.02], [0.2, 0.05]]):
+        run["op_s"] = op_s
+    rows = bench["op_rows"](list(zip(base, change)), ["dirac --grid 256", "ga n=4 diagonal sparse exact"])
+    assert rows == [
+        {"op": "dirac --grid 256", "base_s": 0.6, "change_s": 0.2},
+        {"op": "ga n=4 diagonal sparse exact", "base_s": 0.02, "change_s": 0.02},
+    ]
+
+
+def test_bench_reads_per_op_latencies_and_labels(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    bench = runpy.run_path(str(SCRIPTS / "bench.py"))
+    (tmp_path / ".perfbench").mkdir()
+    result = {"pass_latencies_s": [[0.3, 0.02, 0.5], [0.1, 0.04, 0.4], [0.2, 0.03, 0.6]]}
+    (tmp_path / ".perfbench" / "results-field-evolution-untraced.json").write_text(json.dumps(result))
+    assert bench["op_latencies"](tmp_path, "field-evolution") == [0.2, 0.03, 0.5]
+    # labels come from the tree's own plan, in its run order
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    import workloads
+
+    for name, seed in (("field-evolution", 3), ("ga-products", 3)):
+        ops = workloads.plan(name, seed)["ops"]
+        labels = bench["op_labels"](REPO, name, seed)
+        assert len(labels) == len(ops)
+        for op, label in zip(ops, labels):
+            if op["kind"] == "cli":
+                assert label == " ".join(op["argv"])
+            else:
+                assert label == f"ga n={op['n']} {op['metric']} {op['density']} {op['scalars']}"
