@@ -51,11 +51,15 @@ RUNS = [
     # a site-dependent coupling on three axes: the step loop's stacked derivative matmul
     ["dirac", "--scenario", "dispersion", "--grid", "8,8,8",
      "--potential", "plane-wave-gauge", "--charge", "0.5"],
+    # A_0 alone varies by site: the step loop with no axis coupling
+    ["dirac", "--scenario", "dispersion", "--potential", "constant-E", "--charge", "0.5"],
     # massless: the k = 0 mode has omega = 0 and takes the limit of the closed form
     ["dirac", "--scenario", "dispersion", "--mass", "0"],
     ["dirac", "--scenario", "kg-roundtrip"],
     # the largest ||R(k)|| of the Klein-Gordon doublet among these runs
     ["dirac", "--scenario", "kg-roundtrip", "--grid", "1024"],
+    # the step shrinks to spacing/4 below 1e-3 (exit 2 before the step was derived)
+    ["dirac", "--scenario", "kg-roundtrip", "--grid", "2048"],
     ["dirac", "--scenario", "hermiticity"],
     ["dirac", "--scenario", "hermiticity", "--tol", "hermiticity=1e-9"],
     ["dirac", "--scenario", "dalembert", "--refine", "2"],

@@ -5,7 +5,8 @@ Subcommands
 verify      identity suites (anticommutation relations, dimension counts,
             associativity sampling) per --signature, plus the classification
             rows of the reference signatures 0,1 0,2 1,1 2,0 3,1 1,3
-spinor-rep  idempotent search, minimal ideal, gamma/sigma extraction
+spinor-rep  primitive idempotent as a greedy product, minimal ideal,
+            gamma/sigma extraction
 transport   evolution-transport scenario from a JSON file
 dirac       flat-grid field scenarios (dispersion | hermiticity |
             dalembert | kg-roundtrip | wrap-check)
@@ -89,8 +90,8 @@ def _write_report(
 # verify
 
 
-def _random_exact_multivector(rng, n: int, terms: int = 4) -> Multivector:
-    masks = rng.choice(1 << n, size=min(terms, 1 << n), replace=False)
+def _random_exact_multivector(rng, n: int) -> Multivector:
+    masks = rng.choice(1 << n, size=min(4, 1 << n), replace=False)
     return Multivector(
         n, {int(m): Fraction(int(rng.integers(-3, 4))) for m in masks}
     )
@@ -347,14 +348,14 @@ def _potential_preset(name: str, grid: fl.Grid, n_components: int) -> fl.EMPoten
 MAX_GRID_SITES = 1 << 22
 
 
-def _grid_from_args(args, default_extents, default_length=2 * np.pi) -> fl.Grid:
+def _grid_from_args(args, default_extents) -> fl.Grid:
     extents = tuple(int(x) for x in args.grid.split(",")) if args.grid else default_extents
     if args.spacing:
         spacing = tuple(float(x) for x in args.spacing.split(","))
         if len(spacing) == 1:
             spacing = spacing * len(extents)
     else:
-        spacing = tuple(default_length / n for n in extents)
+        spacing = tuple(2 * np.pi / n for n in extents)
     if len(spacing) != len(extents):
         raise UsageError("--spacing must have one entry or one per axis")
     _check_grid_sites(extents)
@@ -493,7 +494,8 @@ def _dirac_kg(args, report: Report, tols: dict, rng) -> None:
         1e-14,
         relation="reduce then reconstruct is the identity",
     )
-    psit = fl.klein_gordon_evolve(psi, mass, 1.0, 1e-3)
+    # the largest step up to 1e-3 that the stability bound spacing/4 admits
+    psit = fl.klein_gordon_evolve(psi, mass, 1.0, min(1e-3, min(grid.spacing) / 4))
     phit, _ = fl.klein_gordon_reconstruct(psit)
     exact = np.exp(-1j * energy) * phi0.values
     rel = float(np.max(np.abs(phit.values - exact)) / np.max(np.abs(exact)))
@@ -527,7 +529,7 @@ def _dirac_wrap(args, report: Report, tols: dict, rng) -> None:
 SNAPSHOT_ROWS = 1 << 16
 
 
-def _write_field_snapshot(args, grid: fl.Grid, field_obj, name: str) -> None:
+def _write_field_snapshot(args, grid: fl.Grid, psi: fl.SpinorField, name: str) -> None:
     if not args.out:
         return
     path = FsPath(args.out)
@@ -536,14 +538,14 @@ def _write_field_snapshot(args, grid: fl.Grid, field_obj, name: str) -> None:
         "grid": {
             "extents": list(grid.extents),
             "spacing": list(grid.spacing),
-            "periodic": list(grid.periodic),
+            "periodic": [True] * grid.dims,
         },
         "metric": "diag(+1, -1, ...) with time first",
         "gamma_convention": "algebra-derived set, -i carried by the complex scalars",
     }
     (path / f"{name}_header.json").write_text(json.dumps(header, sort_keys=True, indent=2) + "\n")
-    comps = field_obj.components if hasattr(field_obj, "components") else field_obj.values[None]
-    ncomp = comps.shape[0]
+    comps = psi.components
+    ncomp = psi.spinor_dim
     with open(path / f"{name}.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(

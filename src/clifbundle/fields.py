@@ -1,13 +1,14 @@
 """Flat-grid Dirac/Klein-Gordon operators and spin-vector constructions.
 
 Fields are complex arrays on uniform periodic grids; spatial derivatives
-are second-order central differences, by slice subtraction in the Dirac
-Hamiltonian, which is prepared once per evolution (DiracHamiltonian), and
-by np.roll elsewhere.  Time stepping is the transport module's RK4 scheme:
-transport.rk4_linear steps the whole grid, and a Klein-Gordon doublet, or
-a Dirac field whose coupling e A is the same at every site, is stepped one
-Fourier mode at a time instead (_evolve_modes), by the closed form of the
-mode's N RK4 steps that a symbol with two eigenvalues c +- omega admits.
+are second-order central differences, every one by slice subtraction over
+the one periodic stencil of _periodic_difference_slices.  The Dirac
+Hamiltonian is prepared once per evolution (DiracHamiltonian).  Time
+stepping is the transport module's RK4 scheme: transport.rk4_linear steps
+the whole grid, and a Klein-Gordon doublet, or a Dirac field whose
+coupling e A is the same at every site, is stepped one Fourier mode at a
+time instead (_evolve_modes), by the closed form of the mode's N RK4
+steps that a symbol with two eigenvalues c +- omega admits.
 The Minkowski gamma sets are the exact algebra-level representations read
 as floats, with no change of basis: the 1+1 case uses the Cl(1,1) matrices
 directly, the 3+1 case multiplies the Cl(3,1) set by i so the metric
@@ -43,7 +44,7 @@ from .transport import _step_grid, _well_conditioned, rk4_linear
 
 
 class GridError(ValueError):
-    """Grid shape/periodicity does not support the requested operator."""
+    """Grid shape does not support the requested operator."""
 
 
 class StabilityError(ValueError):
@@ -56,28 +57,22 @@ class StabilityError(ValueError):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform tensor-product grid; axis 0 is time on spacetime grids."""
+    """Uniform periodic tensor-product grid; axis 0 is time on spacetime grids."""
 
     extents: tuple
     spacing: tuple
-    periodic: tuple = None
 
     def __post_init__(self):
         extents = tuple(int(n) for n in self.extents)
         spacing = tuple(float(s) for s in self.spacing)
-        periodic = self.periodic
-        if periodic is None:
-            periodic = (True,) * len(extents)
-        periodic = tuple(bool(p) for p in periodic)
-        if len(spacing) != len(extents) or len(periodic) != len(extents):
-            raise GridError("extents, spacing and periodic must have equal length")
+        if len(spacing) != len(extents):
+            raise GridError("extents and spacing must have equal length")
         if any(n < 4 for n in extents):
             raise GridError(f"each axis needs >= 4 points, got {extents}")
         if any(s <= 0 for s in spacing):
             raise GridError(f"spacing must be positive, got {spacing}")
         object.__setattr__(self, "extents", extents)
         object.__setattr__(self, "spacing", spacing)
-        object.__setattr__(self, "periodic", periodic)
 
     @property
     def dims(self) -> int:
@@ -104,10 +99,6 @@ class Grid:
         """k compatible with periodicity: 2 pi mode / L."""
         return 2.0 * np.pi * mode / self.length(axis)
 
-    def require_periodic(self, what: str):
-        if not all(self.periodic):
-            raise GridError(f"{what} requires all axes periodic, got {self.periodic}")
-
 
 @dataclass(frozen=True)
 class ScalarField:
@@ -125,8 +116,7 @@ class ScalarField:
     @classmethod
     def plane_wave(cls, grid: Grid, kvec) -> "ScalarField":
         """exp(i sum_mu k_mu x^mu) on the grid."""
-        mesh = grid.mesh()
-        phase = sum(k * x for k, x in zip(kvec, mesh))
+        phase = sum(k * x for k, x in zip(kvec, grid.mesh()))
         return cls(grid, np.exp(1j * phase))
 
 
@@ -151,9 +141,7 @@ class SpinorField:
 
     @classmethod
     def plane_wave(cls, grid: Grid, kvec, amplitudes) -> "SpinorField":
-        mesh = grid.mesh()
-        phase = sum(k * x for k, x in zip(kvec, mesh))
-        wave = np.exp(1j * phase)
+        wave = ScalarField.plane_wave(grid, kvec).values
         comp = np.stack([a * wave for a in np.asarray(amplitudes, dtype=complex)])
         return cls(grid, comp)
 
@@ -194,17 +182,16 @@ class EMPotential:
 
 @dataclass(frozen=True)
 class AffineConnection:
-    """Constant connection coefficients Gamma^alpha_{mu nu}."""
+    """Constant torsion-free connection coefficients Gamma^alpha_{mu nu}."""
 
     coeffs: np.ndarray = field(repr=False)
-    torsion_free: bool = True
 
     def __post_init__(self):
         arr = np.asarray(self.coeffs, dtype=float)
         if arr.ndim != 3 or len(set(arr.shape)) != 1:
             raise ValueError(f"connection coefficients must be (d,d,d), got {arr.shape}")
-        if self.torsion_free and np.max(np.abs(arr - arr.transpose(0, 2, 1))) > 1e-12:
-            raise ValueError("torsion-free flag set but coefficients not symmetric in (mu, nu)")
+        if np.max(np.abs(arr - arr.transpose(0, 2, 1))) > 1e-12:
+            raise ValueError("connection coefficients not symmetric in (mu, nu)")
         object.__setattr__(self, "coeffs", arr)
 
     @classmethod
@@ -281,23 +268,12 @@ def minkowski_gamma_set(spacetime_dim: int) -> FieldGammaSet:
 # discrete derivatives
 
 
-def central_diff(arr: np.ndarray, axis: int, spacing: float) -> np.ndarray:
-    return (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (2.0 * spacing)
-
-
-def second_diff(arr: np.ndarray, axis: int, spacing: float) -> np.ndarray:
-    return (np.roll(arr, -1, axis=axis) - 2.0 * arr + np.roll(arr, 1, axis=axis)) / spacing**2
-
-
-def _apply_matrix(mat: np.ndarray, comp: np.ndarray) -> np.ndarray:
-    """(m x m) matrix acting on the spinor axis of (m, *grid) components."""
-    return (mat @ comp.reshape(len(comp), -1)).reshape(comp.shape)
-
-
 def _periodic_difference_slices(axis: int) -> list:
     """(out, ahead, behind) indices of psi(x + h) - psi(x - h) along an array axis.
 
-    One triple each for the interior, the first site and the last site.
+    One triple each for the interior, the first site and the last site; the
+    out indices also pick psi(x) itself.  Every field derivative reads this
+    one periodic stencil.
     """
     def at(s):
         return (slice(None),) * axis + (s,)
@@ -307,6 +283,37 @@ def _periodic_difference_slices(axis: int) -> list:
         (at(slice(0, 1)), at(slice(1, 2)), at(slice(-1, None))),
         (at(slice(-1, None)), at(slice(0, 1)), at(slice(-2, -1))),
     ]
+
+
+def _difference(arr: np.ndarray, stencil, out: np.ndarray) -> np.ndarray:
+    """out = arr(x + h) - arr(x - h) over the triples of one axis's stencil."""
+    for dst, ahead, behind in stencil:
+        np.subtract(arr[ahead], arr[behind], out=out[dst])
+    return out
+
+
+def central_diff(arr: np.ndarray, axis: int, spacing: float) -> np.ndarray:
+    """(arr(x + h) - arr(x - h)) / 2h on the periodic axis."""
+    out = np.empty(arr.shape, np.result_type(arr, 1.0))
+    _difference(arr, _periodic_difference_slices(axis), out)
+    out /= 2.0 * spacing
+    return out
+
+
+def second_diff(arr: np.ndarray, axis: int, spacing: float) -> np.ndarray:
+    """((arr(x + h) - 2 arr(x)) + arr(x - h)) / h^2 on the periodic axis."""
+    out = np.empty(arr.shape, np.result_type(arr, 1.0))
+    for dst, ahead, behind in _periodic_difference_slices(axis):
+        np.multiply(arr[dst], 2.0, out=out[dst])
+        np.subtract(arr[ahead], out[dst], out=out[dst])
+        out[dst] += arr[behind]
+    out /= spacing**2
+    return out
+
+
+def _apply_matrix(mat: np.ndarray, comp: np.ndarray) -> np.ndarray:
+    """(m x m) matrix acting on the spinor axis of (m, *grid) components."""
+    return (mat @ comp.reshape(len(comp), -1)).reshape(comp.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +336,6 @@ def dirac_slash(
 ) -> SpinorField:
     """(i gamma^mu (d_mu + i e A_mu) - m) psi with central differences."""
     _check_field_gammas(psi, gset)
-    psi.grid.require_periodic("dirac_slash")
     if pot.grid is not psi.grid and pot.grid != psi.grid:
         raise GridError("potential and spinor live on different grids")
     if pot.n_components != psi.grid.dims:
@@ -347,7 +353,6 @@ def dirac_slash(
 def momentum_op(psi: SpinorField, gset: FieldGammaSet) -> SpinorField:
     """-i gamma^mu d_mu psi; Hermitian w.r.t. the Dirac pairing on periodic grids."""
     _check_field_gammas(psi, gset)
-    psi.grid.require_periodic("momentum_op")
     out = np.zeros_like(psi.components)
     for mu in range(psi.grid.dims):
         dpsi = central_diff(psi.components, mu + 1, psi.grid.spacing[mu])
@@ -376,7 +381,6 @@ def momentum_expectation(psi: SpinorField, axis: int) -> float:
 class DalembertResult:
     """Both sides of the second-derivative identity plus their defects."""
 
-    lhs_matrix: np.ndarray
     lhs_scalar: np.ndarray
     rhs: np.ndarray
     scalar_residual: float
@@ -387,10 +391,7 @@ def dalembert_identity(
     phi: ScalarField, conn: AffineConnection, gset: FieldGammaSet
 ) -> DalembertResult:
     """gamma^mu gamma^nu D_mu D_nu phi versus D_mu D^mu phi on the grid."""
-    if not conn.torsion_free:
-        raise ValueError("identity requires a torsion-free (symmetric) connection")
     grid = phi.grid
-    grid.require_periodic("dalembert_identity")
     d = grid.dims
     if conn.coeffs.shape[0] != d:
         raise ValueError("connection dimension disagrees with grid")
@@ -421,7 +422,6 @@ def dalembert_identity(
     eye = np.eye(m)
     grade2 = lhs - np.multiply.outer(lhs_scalar, eye)
     return DalembertResult(
-        lhs_matrix=lhs,
         lhs_scalar=lhs_scalar,
         rhs=rhs,
         scalar_residual=float(np.max(np.abs(lhs_scalar - rhs))),
@@ -491,21 +491,17 @@ def wrapped_momentum(
     return SpinorField(psi.grid, _pointwise_apply(l_inv, slashed.components))
 
 
-def random_smooth_trivialization_field(
-    grid: Grid, dim: int, seed: int = 0, strength: float = 0.25, modes: int = 2
-) -> np.ndarray:
-    """I + small smooth low-mode perturbation; invertible and well conditioned."""
+def random_smooth_trivialization_field(grid: Grid, dim: int, seed: int = 0) -> np.ndarray:
+    """I + a smooth two-mode perturbation of peak 0.25; invertible and well conditioned."""
     rng = np.random.default_rng(seed)
-    mesh = grid.mesh()
     pert = np.zeros(grid.extents + (dim, dim), dtype=complex)
-    for _ in range(modes):
+    for _ in range(2):
         kvec = [grid.wavenumber(a, int(rng.integers(-2, 3))) for a in range(grid.dims)]
-        phase = sum(k * x for k, x in zip(kvec, mesh))
         coef = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        pert += np.multiply.outer(np.exp(1j * phase), coef)
+        pert += np.multiply.outer(ScalarField.plane_wave(grid, kvec).values, coef)
     peak = np.max(np.abs(pert))
     if peak > 0:
-        pert *= strength / peak
+        pert *= 0.25 / peak
     return np.broadcast_to(np.eye(dim), grid.extents + (dim, dim)).copy() + pert
 
 
@@ -554,9 +550,7 @@ class DiracHamiltonian:
         """sum_j alpha_j (-i d_j + e A_j) psi as an (m, V) array."""
         scratch = np.empty(self._scratch_shape, dtype=complex)
         for j, stencil in enumerate(self._stencils):
-            diff = scratch[j]
-            for dst, ahead, behind in stencil:
-                np.subtract(psi[ahead], psi[behind], out=diff[dst])
+            diff = _difference(psi, stencil, scratch[j])
             if self._axis_coupling is not None:
                 diff += self._axis_coupling[j] * psi
         return self.alphas @ scratch.reshape(self.alphas.shape[1], -1)
@@ -686,7 +680,6 @@ def dirac_hamiltonian_evolve(
     and both apply the one DiracHamiltonian prepared here.
     """
     grid = psi0.grid
-    grid.require_periodic("dirac_hamiltonian_evolve")
     if grid.dims != gset.spacetime_dim - 1:
         raise GridError(
             f"spatial grid has {grid.dims} axes; gamma set expects {gset.spacetime_dim - 1}"
@@ -755,7 +748,6 @@ def klein_gordon_evolve(psi0: SpinorField, mass: float, t: float, dt: float) -> 
     if mass <= 0:
         raise ValueError("need m > 0")
     grid = psi0.grid
-    grid.require_periodic("klein_gordon_evolve")
     _cfl_check(grid, dt)
     comp = _evolve_modes(
         lambda time, y: klein_gordon_hamiltonian(y, grid, mass), psi0.components, grid, t, dt
@@ -767,13 +759,14 @@ def klein_gordon_evolve(psi0: SpinorField, mass: float, t: float, dt: float) -> 
 # stress tensor and spin-vector packaging
 
 
-def stress_tensor(phi_value, dphi, mass, eta=(1, -1, -1, -1)) -> np.ndarray:
+def stress_tensor(phi_value, dphi, mass) -> np.ndarray:
     """T^{mu nu} = d^mu phi d^nu phi - eta^{mu nu} L for the free scalar Lagrangian.
 
-    Pointwise; exact if inputs are Fractions.  L = (d^mu phi d_mu phi - m^2 phi^2)/2.
+    Pointwise in eta = diag(+1, -1, ...); exact if inputs are Fractions.
+    L = (d^mu phi d_mu phi - m^2 phi^2)/2.
     """
     d = len(dphi)
-    eta = tuple(eta[:d])
+    eta = (1,) + (-1,) * (d - 1)
     upper = [eta[mu] * dphi[mu] for mu in range(d)]
     quad = sum(upper[mu] * dphi[mu] for mu in range(d))
     half = Fraction(1, 2) if not any(isinstance(x, (float, complex)) for x in list(dphi) + [phi_value, mass]) else 0.5

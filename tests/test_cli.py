@@ -453,6 +453,43 @@ def test_dirac_kg_roundtrip_scenario(tmp_path):
     assert code == 0
 
 
+def test_dirac_kg_roundtrip_step_follows_the_stability_bound(tmp_path):
+    # on 2048 sites spacing/4 = 7.7e-4 < 1e-3, so the step shrinks to it
+    assert main(["dirac", "--scenario", "kg-roundtrip", "--grid", "2048", "--out", str(tmp_path)]) == 0
+    rows = load_report(tmp_path, "dirac_report.json")["checks"]
+    assert [r["status"] for r in rows] == ["pass", "pass"]
+
+
+def one_sided_difference_slices(axis):
+    """psi(x + h) - psi(x): a first-order stencil in place of the central one."""
+    def at(s):
+        return (slice(None),) * axis + (s,)
+
+    return [
+        (at(slice(0, -1)), at(slice(1, None)), at(slice(0, -1))),
+        (at(slice(-1, None)), at(slice(0, 1)), at(slice(-1, None))),
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, broken",
+    [
+        (["hermiticity", "--grid", "8,8"], {"momentum-hermiticity", "hamiltonian-hermiticity"}),
+        (["dispersion", "--grid", "16"], {"norm-drift", "dispersion-fidelity"}),
+        (["dalembert", "--grid", "8,8", "--refine", "1"], {"convergence-factor-level0"}),
+        (["kg-roundtrip"], {"plane-wave-roundtrip"}),
+    ],
+)
+def test_dirac_scenarios_fail_a_one_sided_stencil(tmp_path, monkeypatch, argv, broken):
+    # every field derivative reads the one stencil, so breaking it must fail these rows
+    argv = ["dirac", "--scenario"] + argv + ["--out", str(tmp_path)]
+    assert main(argv) == 0
+    monkeypatch.setattr(fl, "_periodic_difference_slices", one_sided_difference_slices)
+    assert main(argv) == 1
+    rows = load_report(tmp_path, "dirac_report.json")["checks"]
+    assert {r["name"] for r in rows if r["status"] == "fail"} == broken
+
+
 def test_dirac_dispersion_writes_field_snapshot(tmp_path):
     out = tmp_path / "out"
     code = main(["dirac", "--scenario", "dispersion", "--out", str(out)])
@@ -494,10 +531,8 @@ def test_field_snapshot_bytes_match_the_row_by_row_writer(tmp_path, monkeypatch,
     cli._write_field_snapshot(args, grid, fl.SpinorField(grid, comps), "field")
     row_by_row_snapshot_csv(tmp_path / "old.csv", grid, comps)
     assert (tmp_path / "new" / "field.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-    scalar = fl.ScalarField(grid, comps[1])
-    cli._write_field_snapshot(args, grid, scalar, "scalar")
-    row_by_row_snapshot_csv(tmp_path / "old_scalar.csv", grid, comps[1][None])
-    assert (tmp_path / "new" / "scalar.csv").read_bytes() == (tmp_path / "old_scalar.csv").read_bytes()
+    header = json.loads((tmp_path / "new" / "field_header.json").read_text())
+    assert header["grid"]["periodic"] == [True, True, True]
 
 
 def test_dirac_unknown_scenario_is_usage_error():
