@@ -44,6 +44,8 @@ RUNS = [
     ["transport", "--scenario", "scenarios/qubit_gauged.json"],
     # config.tolerances: transport records the merged table, dirac only the overrides
     ["transport", "--scenario", "scenarios/qubit_gauged.json", "--tol", "unitarity=1e-9"],
+    # a tabulated H, one sample complex, and a tabulated trivialization: both interpolated
+    ["transport", "--scenario", "scenarios/tabulated.json"],
     ["dirac", "--scenario", "dispersion"],
     ["dirac", "--scenario", "dispersion", "--grid", "8,8,8"],
     ["dirac", "--scenario", "dispersion", "--grid", "256",

@@ -119,8 +119,8 @@ def _verify_signature(report: Report, sig: Signature, rng) -> None:
     dims_ok = len(basis_blades(n)) == 2**n and all(
         len(basis_blades(n, q)) == comb(n, q) for q in range(n + 1)
     )
-    report.add_bool(
-        f"{tag}-dimension-counts", dims_ok,
+    report.add(
+        f"{tag}-dimension-counts", residual=0 if dims_ok else 1, tolerance=0,
         relation="dim Lambda = 2^n and dim Lambda^q = C(n, q)",
     )
     # associativity sampling (exact)
@@ -161,8 +161,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_spinor_rep(args) -> int:
-    if not args.signature:
-        raise UsageError("spinor-rep requires --signature p,q")
     if len(args.signature) > 1:
         raise UsageError("spinor-rep inspects one signature per run")
     sig = _parse_signature(args.signature[0])
@@ -172,9 +170,8 @@ def cmd_spinor_rep(args) -> int:
     )
     idem, gamma_set = sp.spinor_representation(sig)
     f = idem.idempotent
-    report.add_bool(
-        "idempotent-search",
-        clifford(f, f, sig.metric()) == f,
+    report.add(
+        "idempotent-search", residual=0 if clifford(f, f, sig.metric()) == f else 1, tolerance=0,
         relation="f f = f for the primitive idempotent",
         details=idem.note,
     )
@@ -190,10 +187,9 @@ def cmd_spinor_rep(args) -> int:
     )
     residual = gamma_set.anticommutator_residuals()
     report.add(
-        "gamma-relations", residual=float(residual), tolerance=0.0,
+        "gamma-relations", residual=residual, tolerance=0,
         relation="g^mu g^nu + g^nu g^mu = 2 g^{mu nu} I (exact)",
-        details=f"representation dimension {gamma_set.dim}",
-        passed=closed and residual == 0,
+        details=f"representation dimension {gamma_set.dim}", holds=closed,
     )
     # In integers at scale 4 D^2: C^{mu mu} = 0 and C^{mu nu} = 2 P[mu][nu], read from the
     # product table, not the commutator sigma_generators forms; for mu != nu the two
@@ -209,11 +205,9 @@ def cmd_spinor_rep(args) -> int:
                 np.abs(c[mu, nu] - expected).max(),
                 np.abs(c[mu, nu] + c[nu, mu]).max(),
             )
-    worst = Fraction(worst, sigmas.scale)
     report.add(
-        "sigma-generators", residual=float(worst), tolerance=0.0,
-        relation="4 sigma^{mu nu} = [g^mu, g^nu], antisymmetric in (mu, nu)",
-        passed=closed and worst == 0,
+        "sigma-generators", residual=Fraction(worst, sigmas.scale), tolerance=0,
+        relation="4 sigma^{mu nu} = [g^mu, g^nu], antisymmetric in (mu, nu)", holds=closed,
     )
     matrices = {
         f"gamma_{mu + 1}": np.array(g, dtype=float).reshape(-1).tolist()
@@ -228,8 +222,6 @@ def cmd_spinor_rep(args) -> int:
 
 
 def cmd_transport(args) -> int:
-    if not args.scenario:
-        raise UsageError("transport requires --scenario <file.json>")
     scenario = tr.load_scenario(args.scenario)
     tols = {**scenario.tolerances, **_parse_tols(args.tol, tr.TOLERANCES)}
     transport = tr.Transport.build(
@@ -435,13 +427,6 @@ def _dirac_hermiticity(args, report: Report, tols: dict, rng) -> None:
 
 
 def _dirac_dalembert(args, report: Report, tols: dict, rng) -> None:
-    # with equal spacings the (1, 1) test mode lies on the light cone and
-    # the analytic scale the errors divide by is 0
-    if args.spacing:
-        raise UsageError(
-            "dalembert sets its spacings to (2 pi/N_t, pi/N_x) on each level; "
-            "--spacing is not accepted"
-        )
     refinements = args.refine
     if refinements < 1:
         raise UsageError(f"dalembert needs --refine >= 1, got {refinements}")
@@ -494,8 +479,8 @@ def _dirac_kg(args, report: Report, tols: dict, rng) -> None:
         1e-14,
         relation="reduce then reconstruct is the identity",
     )
-    # the largest step up to 1e-3 that the stability bound spacing/4 admits
-    psit = fl.klein_gordon_evolve(psi, mass, 1.0, min(1e-3, min(grid.spacing) / 4))
+    # the largest step up to 1e-3 that the stability bound admits
+    psit = fl.klein_gordon_evolve(psi, mass, 1.0, min(1e-3, fl._stability_bound(grid)))
     phit, _ = fl.klein_gordon_reconstruct(psit)
     exact = np.exp(-1j * energy) * phi0.values
     rel = float(np.max(np.abs(phit.values - exact)) / np.max(np.abs(exact)))
@@ -565,43 +550,59 @@ def _write_field_snapshot(args, grid: fl.Grid, psi: fl.SpinorField, name: str) -
             writer.writerows(zip(*columns))
 
 
-# each dirac scenario: its runner and the --tol names it reads, with their defaults
+# the flags a dirac scenario may read, with their defaults
+_DIRAC_FLAGS = {
+    "grid": None, "spacing": None, "mass": 1.0, "charge": 0.0,
+    "potential": "zero", "seed": 0, "refine": 1,
+}
+_FIELD_FLAGS = ("grid", "spacing", "mass", "charge", "potential")
+
+# each dirac scenario: its runner, the flags it reads, and the --tol names it
+# reads with their defaults.  dalembert sets its spacings to (2 pi/N_t, pi/N_x)
+# on each level: with equal spacings its (1, 1) test mode lies on the light
+# cone and the analytic scale the errors divide by is 0.
 DIRAC_SCENARIOS = {
     "dispersion": (
-        _dirac_dispersion, {"norm-drift": 1e-8, "momentum-drift": 1e-6, "fidelity": 1e-6}
+        _dirac_dispersion, _FIELD_FLAGS,
+        {"norm-drift": 1e-8, "momentum-drift": 1e-6, "fidelity": 1e-6},
     ),
-    "hermiticity": (_dirac_hermiticity, {"hermiticity": 1e-10}),
-    "dalembert": (_dirac_dalembert, {"grade2": 1e-10, "convergence": 0.8}),
-    "kg-roundtrip": (_dirac_kg, {"roundtrip": 1e-4}),
-    "wrap-check": (_dirac_wrap, {"wrap": 1e-10}),
+    "hermiticity": (_dirac_hermiticity, _FIELD_FLAGS + ("seed",), {"hermiticity": 1e-10}),
+    "dalembert": (
+        _dirac_dalembert, ("grid", "refine"), {"grade2": 1e-10, "convergence": 0.8}
+    ),
+    "kg-roundtrip": (_dirac_kg, ("grid", "spacing", "mass"), {"roundtrip": 1e-4}),
+    "wrap-check": (_dirac_wrap, ("grid", "spacing", "seed"), {"wrap": 1e-10}),
 }
 
 
 def cmd_dirac(args) -> int:
-    scenario = args.scenario or "hermiticity"
+    scenario = args.scenario
     if scenario not in DIRAC_SCENARIOS:
         raise UsageError(
             f"unknown dirac scenario {scenario!r}; choose from {', '.join(DIRAC_SCENARIOS)}"
         )
-    run, defaults = DIRAC_SCENARIOS[scenario]
+    run, reads, tol_defaults = DIRAC_SCENARIOS[scenario]
+    # a flag the scenario would ignore is a bad config, not a silent no-op
+    unread = [
+        f"--{flag}" for flag in _DIRAC_FLAGS
+        if flag not in reads and getattr(args, flag) is not None
+    ]
+    if unread:
+        raise UsageError(
+            f"dirac scenario {scenario!r} does not read {', '.join(unread)}; "
+            f"it reads {', '.join('--' + flag for flag in reads)}"
+        )
+    for flag, default in _DIRAC_FLAGS.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
     # the report records the overrides; the runner reads them over the defaults
-    tols = _parse_tols(args.tol, defaults)
+    tols = _parse_tols(args.tol, tol_defaults)
     rng = np.random.default_rng(args.seed)
+    flags = {flag: getattr(args, flag) for flag in _DIRAC_FLAGS}
     report = Report(
-        command="dirac",
-        config={
-            "scenario": scenario,
-            "grid": args.grid,
-            "spacing": args.spacing,
-            "mass": args.mass,
-            "charge": args.charge,
-            "potential": args.potential,
-            "seed": args.seed,
-            "refine": args.refine,
-            "tolerances": tols,
-        },
+        command="dirac", config={"scenario": scenario, **flags, "tolerances": tols}
     )
-    run(args, report, {**defaults, **tols}, rng)
+    run(args, report, {**tol_defaults, **tols}, rng)
     _write_report(report, args.out, "dirac_report.json")
     return report.exit_code
 
@@ -649,13 +650,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_di.add_argument("--grid", help="comma-separated extents, e.g. 64,64")
     p_di.add_argument("--spacing", help="comma-separated spacings (or one for all axes)")
-    p_di.add_argument("--mass", type=float, default=1.0)
-    p_di.add_argument("--charge", type=float, default=0.0)
-    p_di.add_argument(
-        "--potential", default="zero", help="zero | constant-E | plane-wave-gauge"
-    )
-    p_di.add_argument("--refine", type=int, default=1, help="grid doublings for convergence studies")
-    common(p_di, "; ".join(f"{k}: {', '.join(v[1])}" for k, v in DIRAC_SCENARIOS.items()))
+    p_di.add_argument("--mass", type=float)
+    p_di.add_argument("--charge", type=float)
+    p_di.add_argument("--potential", help="zero | constant-E | plane-wave-gauge")
+    p_di.add_argument("--refine", type=int, help="grid doublings for convergence studies")
+    common(p_di, "; ".join(f"{k}: {', '.join(v[2])}" for k, v in DIRAC_SCENARIOS.items()))
+    # None marks a flag left out; cmd_dirac fills in the defaults of _DIRAC_FLAGS
+    p_di.set_defaults(seed=None)
     return parser
 
 

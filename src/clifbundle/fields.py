@@ -509,8 +509,13 @@ def random_smooth_trivialization_field(grid: Grid, dim: int, seed: int = 0) -> n
 # time evolution (spatial grids)
 
 
+def _stability_bound(grid: Grid) -> float:
+    """The largest step the evolutions accept: spacing/4."""
+    return min(grid.spacing) / 4.0
+
+
 def _cfl_check(grid: Grid, dt: float):
-    bound = min(grid.spacing) / 4.0
+    bound = _stability_bound(grid)
     if dt > bound:
         raise StabilityError(f"dt = {dt} exceeds the stability bound spacing/4 = {bound}")
 

@@ -3,26 +3,41 @@
 Reports serialize to JSON with sorted keys and name-sorted check rows, so
 a fixed seed and config produce byte-identical output apart from the
 wall-time field.  Every row names the mathematical relation under test so
-failures map straight back to the law being checked.
+failures map straight back to the law being checked.  One rule decides a
+row's status, in Check alone: a row passes when its precondition holds
+(default True) and residual <= tolerance.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 from ._version import __version__
 
 
 @dataclass(frozen=True)
 class Check:
+    """One report row: it passes when its precondition holds and residual <= tolerance.
+
+    The comparison reads the residual and tolerance as given, so an exact
+    Fraction residual is compared exactly; both are then stored as floats.
+    A boolean row has residual 0 or 1 and tolerance 0.
+    """
+
     name: str
-    passed: bool
     residual: float
     tolerance: float
     relation: str
     details: str = ""
+    holds: InitVar[bool] = True
+    passed: bool = field(init=False)
+
+    def __post_init__(self, holds):
+        object.__setattr__(self, "passed", bool(holds and self.residual <= self.tolerance))
+        object.__setattr__(self, "residual", float(self.residual))
+        object.__setattr__(self, "tolerance", float(self.tolerance))
 
     def to_dict(self) -> dict:
         return {
@@ -34,14 +49,6 @@ class Check:
             "details": self.details,
         }
 
-    @classmethod
-    def boolean(cls, name: str, passed: bool, relation: str, details: str = "") -> "Check":
-        """Pass/fail row: residual 0 on pass, 1 on fail, zero tolerance."""
-        return cls(
-            name=name, passed=bool(passed), residual=0.0 if passed else 1.0,
-            tolerance=0.0, relation=relation, details=details,
-        )
-
 
 @dataclass
 class Report:
@@ -50,40 +57,15 @@ class Report:
     checks: list = field(default_factory=list)
     started: float = field(default_factory=time.perf_counter)
 
-    def add(
-        self,
-        name: str,
-        residual: float,
-        tolerance: float,
-        relation: str,
-        details: str = "",
-        passed: bool | None = None,
-    ) -> Check:
-        if passed is None:
-            passed = residual <= tolerance
-        check = Check(
-            name=name,
-            passed=bool(passed),
-            residual=float(residual),
-            tolerance=float(tolerance),
-            relation=relation,
-            details=details,
-        )
+    def add(self, *args, **kwargs) -> Check:
+        """Append and return Check(*args, **kwargs)."""
+        check = Check(*args, **kwargs)
         self.checks.append(check)
         return check
-
-    def add_bool(self, name: str, passed: bool, relation: str, details: str = "") -> Check:
-        check = Check.boolean(name, passed, relation, details)
-        self.checks.append(check)
-        return check
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
     @property
     def exit_code(self) -> int:
-        return 0 if self.all_passed else 1
+        return 0 if all(c.passed for c in self.checks) else 1
 
     def to_dict(self) -> dict:
         return {
@@ -101,17 +83,13 @@ class Report:
         return json.dumps(data, sort_keys=True, indent=2, default=_json_default)
 
     def summary_lines(self) -> list[str]:
-        lines = []
-        for c in sorted(self.checks, key=lambda c: c.name):
-            status = "PASS" if c.passed else "FAIL"
-            lines.append(
-                f"{status}  {c.name}  residual={c.residual:.3e}  tol={c.tolerance:.3e}"
-            )
-        n_fail = sum(not c.passed for c in self.checks)
-        lines.append(
-            f"{len(self.checks) - n_fail}/{len(self.checks)} checks passed"
-        )
-        return lines
+        lines = [
+            f"{'PASS' if c.passed else 'FAIL'}  {c.name}  "
+            f"residual={c.residual:.3e}  tol={c.tolerance:.3e}"
+            for c in sorted(self.checks, key=lambda c: c.name)
+        ]
+        passed = sum(c.passed for c in self.checks)
+        return lines + [f"{passed}/{len(self.checks)} checks passed"]
 
 
 def _json_default(obj):

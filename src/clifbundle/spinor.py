@@ -480,23 +480,23 @@ def classification_rows(sig: Signature) -> list[Check]:
     rank = sandwich_rank(report.idempotent, sig.metric())
     found = algebra_span_dimension(gamma_set)
     return [
-        Check.boolean(
-            f"{name}-minimal-ideal", report.ideal_dimension == gamma_set.dim == ideal,
+        Check(
+            f"{name}-minimal-ideal",
+            0 if report.ideal_dimension == gamma_set.dim == ideal else 1, 0,
             f"minimal left ideal of {sig} has dimension {ideal}",
             details=report.note,
         ),
-        Check.boolean(
-            f"{name}-primitive", rank == division,
+        Check(
+            f"{name}-primitive", 0 if rank == division else 1, 0,
             f"{sig} = {kind}, so f Cl f = {kind[0]}: rank{{f e_b f}} = {division}",
             details=f"rank {rank}, one b per coset of f's support (exact)",
         ),
         Check(
-            name=f"{name}-gamma-relations", passed=closed and residual == 0,
-            residual=float(residual), tolerance=0.0,
-            relation="g^mu g^nu + g^nu g^mu = 2 g^{mu nu} I (exact)",
+            f"{name}-gamma-relations", residual, 0,
+            "g^mu g^nu + g^nu g^mu = 2 g^{mu nu} I (exact)", holds=closed,
         ),
-        Check.boolean(
-            f"{name}-blade-span", closed and found == span,
+        Check(
+            f"{name}-blade-span", 0 if closed and found == span else 1, 0,
             f"the 2^n blade images span {span} = dim_R {kind.split('+')[0]}",
             details=f"span dimension {found} of {span}",
         ),
@@ -513,9 +513,9 @@ def _quaternion_checks() -> Check:
         mul(a, a) == minus_one and mul(a, b) == c == -mul(b, a)
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
     )
-    return Check.boolean(
+    return Check(
         "cl02-quaternion-table",
-        ok,
+        0 if ok else 1, 0,
         "i^2 = j^2 = k^2 = ijk = -1 with i=e1, j=e2, k=e1e2",
         details="Cl(0,2) reproduces the quaternion structure constants",
     )
@@ -538,20 +538,21 @@ def _even_subalgebra_checks() -> list[Check]:
         for mask in clifford(blade(ma), blade(mb), metric).terms
     )
     return [
-        Check.boolean(
+        Check(
             "cl31-even-dimension",
-            len(even_masks) == 8,
+            0 if len(even_masks) == 8 else 1, 0,
             "even subalgebra of Cl(3,1) has dimension 2^(n-1) = 8 = dim_R M_2(C)",
             details=f"counted {len(even_masks)} even blades",
         ),
-        Check.boolean(
+        Check(
             "cl31-even-central-imaginary",
-            sq == Multivector.scalar(Fraction(-1), 4) and central,
+            0 if sq == Multivector.scalar(Fraction(-1), 4) and central else 1, 0,
             "e1234 squares to -1 and is central in the even subalgebra",
             details=f"omega^2 = {sq}",
         ),
-        Check.boolean(
-            "cl31-even-closed", closed, "the even subalgebra is closed under the Clifford product"
+        Check(
+            "cl31-even-closed", 0 if closed else 1, 0,
+            "the even subalgebra is closed under the Clifford product",
         ),
     ]
 

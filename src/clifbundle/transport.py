@@ -7,12 +7,16 @@ integrator.  The transport is the trivialization-conjugated evolution
 U(t,s) = l(t)^-1 @ fibre_evolution(t,s) @ l(s), from which connection
 coefficients and the derivation along the path are read off by finite
 differences.  hbar = 1 throughout (config.HBAR).
+
+One helper, _interpolate, reads every sampled quantity: Lagrange
+interpolation through consecutive samples, linear (2 points) for paths,
+tabulated trivializations and tabulated Hamiltonians, cubic (4 points) for
+liftings.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,15 +56,34 @@ class SingularTrivializationError(ValueError):
 # path, trivialization, Hamiltonian
 
 
-def _interp_linear(times: np.ndarray, values: np.ndarray, t) -> np.ndarray:
-    """Piecewise-linear interpolation of values[k] sampled at increasing times[k].
+def _interpolate(times: np.ndarray, values: np.ndarray, t, points: int) -> np.ndarray:
+    """Lagrange interpolation of values[k] at increasing times[k] through `points` samples.
 
-    t is a time or an array of times; its shape leads the result's.
+    The samples are the `points` consecutive ones around t, clamped at the
+    ends; t is a time or an array of times, and its shape leads the
+    result's.  The first weight is 1 minus the others, so two points give
+    (1 - w) v0 + w v1 bit for bit.
     """
-    idx = np.searchsorted(times[1:-1], t) + 1  # the segment [times[idx-1], times[idx]]
-    t0, t1 = times[idx - 1], times[idx]
-    w = np.asarray((t - t0) / (t1 - t0))[(...,) + (None,) * (values.ndim - 1)]
-    return (1 - w) * values[idx - 1] + w * values[idx]
+    lo = times[points // 2:len(times) - points // 2].searchsorted(t)
+    xs = [times[lo + i] for i in range(points)]
+    # weight i is the product over j != i of (t - x_j) / (x_i - x_j)
+    w = [1.0] * points
+    for i in range(1, points):
+        for j in range(points):
+            if j != i:
+                w[i] *= (t - xs[j]) / (xs[i] - xs[j])
+    w[0] = 1 - sum(w[1:])
+    # one term at a time: a stack of all the terms would double the transient memory
+    tail = (...,) + (None,) * (values.ndim - 1)
+    out = np.asarray(w[0])[tail] * values[lo]
+    for i in range(1, points):
+        out += np.asarray(w[i])[tail] * values[lo + i]
+    return out
+
+
+def _check_increasing(times: np.ndarray, what: str) -> None:
+    if not np.all(np.diff(times) > 0):
+        raise ValueError(f"{what} times must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -75,8 +98,7 @@ class Path:
         points = np.asarray(self.points, dtype=float)
         if times.ndim != 1 or len(times) < 2:
             raise ValueError("a path needs at least 2 samples")
-        if not np.all(np.diff(times) > 0):
-            raise ValueError("path times must be strictly increasing")
+        _check_increasing(times, "path")
         if points.ndim == 1:
             points = points.reshape(-1, 1)
         if points.ndim != 2 or points.shape[0] != len(times):
@@ -114,7 +136,7 @@ class Path:
     def point_at(self, t: float) -> np.ndarray:
         """Piecewise-linear interpolation of the base point."""
         self.check_time(t)
-        return _interp_linear(self.times, self.points, t)
+        return _interpolate(self.times, self.points, t, 2)
 
 
 def _well_conditioned(m: np.ndarray) -> np.ndarray:
@@ -168,7 +190,7 @@ class Trivialization:
             raise SingularTrivializationError(
                 f"trivialization matrix at sample {int(np.argmin(ok))} is singular"
             )
-        return cls(mats.shape[1], lambda t: _interp_linear(path.times, mats, t))
+        return cls(mats.shape[1], lambda t: _interpolate(path.times, mats, t, 2))
 
     def matrix(self, t: float) -> np.ndarray:
         m = np.asarray(self.of_t(t), dtype=complex)
@@ -260,11 +282,10 @@ class HamiltonianSpec:
         # a table that interpolation would misread or extrapolate is a bad config
         if times.ndim != 1 or len(times) != len(mats):
             raise ValueError("tabulated hamiltonian needs exactly one matrix per time")
-        if not np.all(np.diff(times) > 0):
-            raise ValueError("tabulated hamiltonian times must be strictly increasing")
+        _check_increasing(times, "tabulated hamiltonian")
         if not (times[0] <= t_start and times[-1] >= t_end):
             raise ValueError("tabulated hamiltonian times must cover the whole path")
-        return cls._checked(mats, lambda ts: _interp_linear(times, mats, ts))
+        return cls._checked(mats, lambda ts: _interpolate(times, mats, ts, 2))
 
     @classmethod
     def scaled(cls, profile, matrix) -> "HamiltonianSpec":
@@ -300,8 +321,7 @@ class Lifting:
             raise ValueError("one fibre vector per sample time required")
         if len(times) < 4:
             raise ValueError("insufficient samples for cubic interpolation (need >= 4)")
-        if not np.all(np.diff(times) > 0):
-            raise ValueError("lifting times must be strictly increasing")
+        _check_increasing(times, "lifting")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
@@ -310,23 +330,12 @@ class Lifting:
         times = np.asarray(times, dtype=float)
         return cls(times, np.array([np.asarray(func(t), dtype=complex) for t in times]))
 
-    def at(self, t: float) -> np.ndarray:
-        """Cubic Lagrange interpolation through the 4 nearest samples."""
-        ts = self.times
-        if not (ts[0] - 1e-12 <= t <= ts[-1] + 1e-12):
+    def at(self, t) -> np.ndarray:
+        """Cubic Lagrange interpolation through the 4 nearest samples, at a time or an array."""
+        ts, t = self.times, np.asarray(t, dtype=float)
+        if not np.all((ts[0] - 1e-12 <= t) & (t <= ts[-1] + 1e-12)):
             raise ValueError(f"time {t} outside lifting range")
-        idx = bisect_left(ts, t)
-        lo = min(max(idx - 2, 0), len(ts) - 4)
-        sel = slice(lo, lo + 4)
-        xs, ys = ts[sel], self.values[sel]
-        out = np.zeros_like(ys[0])
-        for i in range(4):
-            w = 1.0
-            for j in range(4):
-                if i != j:
-                    w *= (t - xs[j]) / (xs[i] - xs[j])
-            out = out + w * ys[i]
-        return out
+        return _interpolate(ts, self.values, t, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -577,7 +577,7 @@ DIRAC_TOL_NAMES = [
 
 def test_dirac_tol_table_lists_every_scenario():
     assert {s for s, _, _ in DIRAC_TOL_NAMES} == set(cli.DIRAC_SCENARIOS)
-    for scenario, (_, names) in cli.DIRAC_SCENARIOS.items():
+    for scenario, (_, _, names) in cli.DIRAC_SCENARIOS.items():
         assert set(names) == {n for s, n, _ in DIRAC_TOL_NAMES if s == scenario}
 
 
@@ -640,6 +640,33 @@ def test_dirac_dalembert_rejects_spacing():
     argv = ["dirac", "--scenario", "dalembert", "--grid", "16,16", "--refine", "1"]
     assert main(argv + ["--spacing", "0.5"]) == 2
     assert main(argv) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, unread",
+    [
+        # evolved a free field and reported pass
+        (["kg-roundtrip", "--potential", "constant-E", "--charge", "1"], "--charge, --potential"),
+        (["dalembert", "--grid", "8,8", "--mass", "5", "--seed", "9"], "--mass, --seed"),
+        (["dispersion", "--grid", "16", "--refine", "3"], "--refine"),
+        (["kg-roundtrip", "--refine", "0"], "--refine"),
+    ],
+)
+def test_dirac_flag_the_scenario_does_not_read_is_usage_error(argv, unread, capsys):
+    assert main(["dirac", "--scenario", *argv]) == 2
+    err = capsys.readouterr().err
+    assert f"does not read {unread};" in err
+    reads = ", ".join(f"--{flag}" for flag in cli.DIRAC_SCENARIOS[argv[0]][1])
+    assert err.rstrip().endswith(f"it reads {reads}")
+
+
+def test_dirac_report_config_records_the_defaults(tmp_path):
+    assert main(["dirac", "--scenario", "wrap-check", "--grid", "4,4", "--out", str(tmp_path)]) == 0
+    config = load_report(tmp_path, "dirac_report.json")["config"]
+    assert config == {
+        "scenario": "wrap-check", "grid": "4,4", "spacing": None, "mass": 1.0, "charge": 0.0,
+        "potential": "zero", "seed": 0, "refine": 1, "tolerances": {},
+    }
 
 
 def test_dirac_grid_memory_budget_enforced():

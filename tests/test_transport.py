@@ -17,6 +17,7 @@ from clifbundle.transport import (
     SingularTrivializationError,
     Transport,
     Trivialization,
+    _interpolate,
     connection_coeffs,
     evolve,
     matrix_bundle_hamiltonian,
@@ -421,6 +422,51 @@ def test_lifting_needs_strictly_increasing_times(times):
         Lifting(times, times)
 
 
+def linear_reference(times, values, t):
+    """(1 - w) v0 + w v1 on the segment of t, the form two-point interpolation keeps."""
+    idx = np.searchsorted(times[1:-1], t) + 1
+    t0, t1 = times[idx - 1], times[idx]
+    w = np.asarray((t - t0) / (t1 - t0))[(...,) + (None,) * (values.ndim - 1)]
+    return (1 - w) * values[idx - 1] + w * values[idx]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_two_point_interpolation_is_the_linear_form_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    times = np.cumsum(rng.uniform(0.01, 1.0, rng.integers(2, 8))) - 1.0
+    values = rng.normal(size=(len(times), 3, 3)) + 1j * rng.normal(size=(len(times), 3, 3))
+    inside = rng.uniform(times[0], times[-1], 9)
+    for t in (inside[0], times[0], times[-1], inside, np.concatenate([times, inside])):
+        got = _interpolate(times, values, t, 2)
+        assert got.shape == np.shape(t) + (3, 3)
+        assert np.array_equal(got, linear_reference(times, values, t))
+    points = rng.normal(size=(len(times), 2))
+    got = _interpolate(times, points, inside, 2)
+    assert np.array_equal(got, linear_reference(times, points, inside))
+
+
+def test_four_point_interpolation_is_exact_on_cubics():
+    rng = np.random.default_rng(3)
+    times = np.cumsum(rng.uniform(0.05, 0.5, 9))
+    coeffs = rng.normal(size=(4, 2))
+    cubic = lambda t: np.stack([np.polyval(c, t) for c in coeffs.T], axis=-1)
+    ts = np.concatenate([times, rng.uniform(times[0], times[-1], 40)])
+    assert np.max(np.abs(_interpolate(times, cubic(times), ts, 4) - cubic(ts))) <= 1e-13
+
+
+def test_lifting_accepts_an_array_of_times():
+    times = np.linspace(0.0, 1.0, 11)
+    lifting = Lifting.from_function(lambda t: np.array([t**3, 1j * t**2]), times)
+    ts = np.array([0.0, 0.33, 0.5, 0.91, 1.0])
+    got = lifting.at(ts)
+    assert got.shape == (5, 2)
+    assert np.array_equal(got, np.array([lifting.at(t) for t in ts]))
+    assert np.max(np.abs(got - np.stack([ts**3, 1j * ts**2], axis=-1))) <= 1e-14
+    for outside in (np.array([0.5, 1.1]), math.nan):
+        with pytest.raises(ValueError, match="outside lifting range"):
+            lifting.at(outside)
+
+
 # ---------------------------------------------------------------------------
 # one-sweep propagation
 
@@ -585,7 +631,7 @@ def test_tabulated_trivialization_needs_square_matrices():
 
 SCENARIO_FILES = {
     name: json.loads((FsPath(__file__).resolve().parents[1] / "scenarios" / name).read_text())
-    for name in ("qubit.json", "qubit_gauged.json")
+    for name in ("qubit.json", "qubit_gauged.json", "tabulated.json")
 }
 
 # Integer and float atoms stay within +-100 and strings within 3 characters,
