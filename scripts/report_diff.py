@@ -17,41 +17,17 @@ values is one field.  Exits 1 if any exit code or check status differs,
 0 otherwise.
 """
 
-import contextlib
 import csv
-import io
 import json
 import math
-import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-from report_digest import RUNS
+from report_digest import RUNS, run_all
 
 EXIT_CODES = "exit_codes.json"
-
-
-def run_tree(root: Path, out: Path) -> None:
-    """Child side: run every RUNS entry from root, writing run NN to out/runNN."""
-    src = root / "src"
-    sys.path.insert(0, str(src))
-    import clifbundle
-    from clifbundle import cli
-
-    if src not in Path(clifbundle.__file__).resolve().parents:
-        raise SystemExit(f"clifbundle imported from {clifbundle.__file__}, not from {src}")
-    os.chdir(root)
-    codes = []
-    for i, run in enumerate(RUNS):
-        with contextlib.redirect_stdout(io.StringIO()):
-            try:
-                rc = cli.main(run + ["--out", str(out / f"run{i:02d}")])
-            except Exception as exc:  # an escaped exception is a result too
-                rc = type(exc).__name__
-        codes.append(rc)
-    (out / EXIT_CODES).write_text(json.dumps(codes))
 
 
 def _delta(a, b) -> float:
@@ -156,7 +132,10 @@ def compare(out_a: Path, out_b: Path) -> bool:
 
 def main(argv) -> int:
     if len(argv) == 4 and argv[1] == "--run-tree":
-        run_tree(Path(argv[2]).resolve(), Path(argv[3]))
+        # child side: one tree's runs, and their exit codes for compare
+        out = Path(argv[3])
+        codes = [rc for _, rc, _ in run_all(Path(argv[2]).resolve(), out)]
+        (out / EXIT_CODES).write_text(json.dumps(codes))
         return 0
     if len(argv) != 3:
         raise SystemExit("usage: report_diff.py ROOT_A ROOT_B")

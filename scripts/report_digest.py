@@ -69,8 +69,14 @@ RUNS = [
 ]
 
 
-def main(argv):
-    root = Path(argv[1] if len(argv) > 1 else REPO).resolve()
+def run_all(root: Path, out: Path):
+    """Run every RUNS entry in-process from root, run NN writing to out/runNN.
+
+    Imports clifbundle from root/src, and refuses one imported from elsewhere.
+    Yields (run, exit code, stdout) per run; an exception that escapes
+    cli.main stands in for the exit code by its type name, with its
+    traceback on stderr.
+    """
     src = root / "src"
     sys.path.insert(0, str(src))
     import clifbundle
@@ -79,22 +85,29 @@ def main(argv):
     if src not in Path(clifbundle.__file__).resolve().parents:
         raise SystemExit(f"clifbundle imported from {clifbundle.__file__}, not from {src}")
     os.chdir(root)
+    for i, run in enumerate(RUNS):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            try:
+                rc = cli.main(run + ["--out", str(out / f"run{i:02d}")])
+            # an escaped exception is a result too: an older tree may let one escape
+            except Exception as exc:
+                traceback.print_exc()
+                rc = type(exc).__name__
+        yield run, rc, stdout.getvalue()
+
+
+def main(argv):
+    root = Path(argv[1] if len(argv) > 1 else REPO).resolve()
     marker = str(root).encode()
     with tempfile.TemporaryDirectory() as tmp:
-        for i, run in enumerate(RUNS):
+        for i, (run, rc, stdout) in enumerate(run_all(root, Path(tmp))):
             out_dir = Path(tmp) / f"run{i:02d}"
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout):
-                try:
-                    rc = cli.main(run + ["--out", str(out_dir)])
-                except Exception as exc:  # an escaped exception is a result too
-                    traceback.print_exc()
-                    rc = type(exc).__name__
             for path in out_dir.rglob("*"):
                 if path.is_file():
                     path.write_bytes(path.read_bytes().replace(marker, b"<root>"))
             h = hashlib.sha256(output_digest(out_dir).encode())
-            h.update(stdout.getvalue().encode().replace(marker, b"<root>"))
+            h.update(stdout.encode().replace(marker, b"<root>"))
             print(f"{rc} {h.hexdigest()} {' '.join(run)}", flush=True)
 
 

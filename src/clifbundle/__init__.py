@@ -3,9 +3,11 @@
 Layers, bottom up:
 
 - ga: blades, multivectors, wedge / interior / Clifford products over any
-  nondegenerate symmetric real metric (exact or float scalars)
+  nondegenerate symmetric real metric (exact or float scalars), in
+  dimension n <= MAX_DIMENSION
 - spinor: regular representation, primitive idempotents, minimal left
   ideals, gamma/sigma matrices, spinor covariant and Lie derivatives
+- numerics: HBAR and the RK4 stepper that transport and fields share
 - transport: evolution transport along paths, connection coefficients,
   derivation along paths, bundle Schrodinger solutions
 - fields: lattice Dirac / Klein-Gordon operators, the momentum operator,
@@ -14,8 +16,8 @@ Layers, bottom up:
 """
 
 from ._version import __version__
-from .config import DEFAULT_NMAX, HBAR, max_dimension
 from .ga import (
+    MAX_DIMENSION,
     Metric,
     Multivector,
     Signature,
@@ -31,6 +33,7 @@ from .ga import (
     scalar_product,
     wedge,
 )
+from .numerics import HBAR
 from .spinor import (
     GammaSet,
     SigmaSet,

@@ -14,7 +14,8 @@ dirac       flat-grid field scenarios (dispersion | hermiticity |
 Exit codes: 0 all checks passed, 1 a tolerance failed, 2 usage/config error,
 3 numerical fault: a linear-algebra routine failed, or the gammas a scenario
 needs came from a basis that is not a left ideal or failed their
-anticommutator or Hermiticity gate.  Exit 3 writes no report.
+anticommutator or Hermiticity gate; 3 also marks an internal fault, any
+other exception, which prints its traceback.  Exit 3 writes no report.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import argparse
 import csv
 import json
 import sys
+import traceback
 from fractions import Fraction
 from math import comb, prod
 from pathlib import Path as FsPath
@@ -32,7 +34,6 @@ import numpy as np
 from . import fields as fl
 from . import spinor as sp
 from . import transport as tr
-from .config import max_dimension
 from .ga import Multivector, Signature, basis_blades, clifford
 from .report import Report
 
@@ -48,12 +49,14 @@ class UsageError(ValueError):
 def _parse_signature(text: str) -> Signature:
     try:
         p_str, q_str = text.split(",")
-        sig = Signature(int(p_str), int(q_str))
-    except (ValueError, TypeError) as exc:
+        p, q = int(p_str), int(q_str)
+    except ValueError as exc:
         raise UsageError(f"bad signature {text!r}: expected 'p,q' with p+q >= 1") from exc
-    if sig.n > max_dimension():
-        raise UsageError(f"signature {text} exceeds the dimension ceiling {max_dimension()}")
-    return sig
+    # Signature owns the bounds on p, q and the dimension ceiling
+    try:
+        return Signature(p, q)
+    except ValueError as exc:
+        raise UsageError(f"bad signature {text!r}: {exc}") from exc
 
 
 def _parse_tols(pairs, names) -> dict:
@@ -243,7 +246,9 @@ def cmd_transport(args) -> int:
     worst_cocycle = max(
         transport.cocycle_residual(times[4], times[2], times[0]),
         transport.cocycle_residual(times[3], times[2], times[1]),
-        transport.cocycle_residual(times[1], times[3], times[4]),
+        # the middle time lies outside the other two, so one leg runs backward;
+        # RK4 is not time-symmetric, so this triple sees a step taken the wrong way
+        transport.cocycle_residual(times[1], times[4], times[3]),
     )
     report.add(
         "cocycle", worst_cocycle, tols["cocycle"],
@@ -427,11 +432,13 @@ def _dirac_hermiticity(args, report: Report, tols: dict, rng) -> None:
 
 
 def _dirac_dalembert(args, report: Report, tols: dict, rng) -> None:
+    base = args.grid or "64,64"
+    extents = tuple(int(x) for x in base.split(","))
+    if len(extents) != 2:
+        raise UsageError(f"dalembert needs a grid of two axes (t, x), got --grid {base}")
     refinements = args.refine
     if refinements < 1:
         raise UsageError(f"dalembert needs --refine >= 1, got {refinements}")
-    base = args.grid or "64,64"
-    extents = tuple(int(x) for x in base.split(","))
     _check_grid_sites(tuple(n * 2**refinements for n in extents))
     errors = []
     for level in range(refinements + 1):
@@ -681,6 +688,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    # any other escape is a fault of the program: neither a failed law (1) nor a bad config (2)
+    except Exception as exc:
+        print(f"error: internal fault: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return NUMERICAL_FAULT
 
 
 if __name__ == "__main__":

@@ -4,11 +4,12 @@ Fields are complex arrays on uniform periodic grids; spatial derivatives
 are second-order central differences, every one by slice subtraction over
 the one periodic stencil of _periodic_difference_slices.  The Dirac
 Hamiltonian is prepared once per evolution (DiracHamiltonian).  Time
-stepping is the transport module's RK4 scheme: transport.rk4_linear steps
-the whole grid, and a Klein-Gordon doublet, or a Dirac field whose
-coupling e A is the same at every site, is stepped one Fourier mode at a
-time instead (_evolve_modes), by the closed form of the mode's N RK4
-steps that a symbol with two eigenvalues c +- omega admits.
+stepping is the RK4 scheme of numerics, which evolution transport also
+steps: numerics.rk4_linear steps the whole grid, and a Klein-Gordon
+doublet, or a Dirac field whose coupling e A is the same at every site,
+is stepped one Fourier mode at a time instead (_evolve_modes), by the
+closed form of the mode's N RK4 steps that a symbol with two eigenvalues
+c +- omega admits.
 The Minkowski gamma sets are the exact algebra-level representations read
 as floats, with no change of basis: the 1+1 case uses the Cl(1,1) matrices
 directly, the 3+1 case multiplies the Cl(3,1) set by i so the metric
@@ -31,8 +32,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import HBAR
 from .ga import Signature
+from .numerics import HBAR, _step_grid, _well_conditioned, rk4_linear
 from .spinor import (
     ClosureError,
     GammaSet,
@@ -40,7 +41,6 @@ from .spinor import (
     gamma_products,
     gamma_set_for_signature,
 )
-from .transport import _step_grid, _well_conditioned, rk4_linear
 
 
 class GridError(ValueError):

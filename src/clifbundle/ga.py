@@ -3,7 +3,8 @@
 Basis blades are bitmasks over {1..n}; a multivector is a sparse map from
 blade mask to coefficient.  Coefficients may be exact (int / Fraction) or
 float; exact inputs stay exact through every product, which is what lets
-the identity suites assert equality rather than closeness.
+the identity suites assert equality rather than closeness.  Signature,
+Metric and Multivector refuse a dimension n outside 1..MAX_DIMENSION.
 
 There is one Clifford-product kernel, a pair loop over an orthogonal
 basis: e_A e_B = sign(A, B) w[A & B] e_(A xor B), with w[m] the product of
@@ -38,7 +39,6 @@ from numbers import Rational, Real
 import numpy as np
 
 from . import exact
-from .config import check_dimension
 
 FLOAT_PRUNE = 1e-15
 
@@ -57,6 +57,18 @@ class GradeError(ValueError):
 
 # ---------------------------------------------------------------------------
 # signatures and metrics
+
+# ceiling on the dimension n of the vector space; 2^n blades per algebra
+MAX_DIMENSION = 10
+
+
+def check_dimension(n: int) -> int:
+    """Validate a vector-space dimension against MAX_DIMENSION, read at call time."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError(f"dimension must be an integer, got {type(n).__name__}")
+    if not 1 <= n <= MAX_DIMENSION:
+        raise ValueError(f"dimension must satisfy 1 <= n <= {MAX_DIMENSION}, got {n}")
+    return n
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,12 @@
 
 A path carries sampled base points; a trivialization identifies each fibre
 with the typical fibre; the fibre evolution operator solves the matrix
-Schrodinger equation i dU/dt = H(t) U with a classical 4th-order one-step
-integrator.  The transport is the trivialization-conjugated evolution
-U(t,s) = l(t)^-1 @ fibre_evolution(t,s) @ l(s), from which connection
-coefficients and the derivation along the path are read off by finite
-differences.  hbar = 1 throughout (config.HBAR).
+Schrodinger equation i dU/dt = H(t) U with the classical RK4 scheme of
+numerics, which the lattice fields also step.  The transport is the
+trivialization-conjugated evolution U(t,s) = l(t)^-1 @ fibre_evolution(t,s)
+@ l(s), from which connection coefficients and the derivation along the
+path are read off by finite differences.  hbar = 1 throughout
+(numerics.HBAR).
 
 One helper, _interpolate, reads every sampled quantity: Lagrange
 interpolation through consecutive samples, linear (2 points) for paths,
@@ -21,10 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import HBAR
+from .numerics import HBAR, _step_grid, _well_conditioned, rk4_step
 
 __all__ = [
-    "HBAR",
     "TOLERANCES",
     "Path",
     "Trivialization",
@@ -32,8 +32,6 @@ __all__ = [
     "Lifting",
     "Transport",
     "evolve",
-    "rk4_step",
-    "rk4_linear",
     "connection_coeffs",
     "path_derivation",
     "solve_bundle_schrodinger",
@@ -137,20 +135,6 @@ class Path:
         """Piecewise-linear interpolation of the base point."""
         self.check_time(t)
         return _interpolate(self.times, self.points, t, 2)
-
-
-def _well_conditioned(m: np.ndarray) -> np.ndarray:
-    """One flag per matrix of a stack: finite entries and condition number below 1e12.
-
-    cond fails on a non-finite matrix, so it sees only the finite ones.  An
-    all-finite stack, the usual case, goes to cond whole: the boolean-mask
-    copy raised the peak RSS of the transport runs.
-    """
-    ok = np.all(np.isfinite(m), axis=(-2, -1))
-    if np.all(ok):
-        return np.linalg.cond(m) < 1e12
-    ok[ok] = np.linalg.cond(m[ok]) < 1e12
-    return ok
 
 
 @dataclass(frozen=True)
@@ -347,47 +331,6 @@ class Lifting:
 BLOCK_STEPS = 64
 
 
-def _step_grid(s: float, t: float, dt: float) -> tuple[int, float]:
-    """ceil(|t - s| / dt) equal steps from s to t, so dt bounds every step taken."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    span = t - s
-    if span == 0:
-        return 0, 0.0
-    steps = max(1, int(np.ceil(abs(span) / dt)))
-    return steps, span / steps
-
-
-def rk4_step(apply_h, y: np.ndarray, time, step: float) -> np.ndarray:
-    """One classical RK4 step of i hbar dy/dt = apply_h(time, y) from time to time + step.
-
-    time may be an array of N step starts; apply_h then returns a stack of N
-    right-hand sides, and the step returns N results, one per start.
-    """
-
-    def rhs(at, state: np.ndarray) -> np.ndarray:
-        return (-1j / HBAR) * apply_h(at, state)
-
-    k1 = rhs(time, y)
-    k2 = rhs(time + step / 2, y + step / 2 * k1)
-    k3 = rhs(time + step / 2, y + step / 2 * k2)
-    k4 = rhs(time + step, y + step * k3)
-    return y + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
-def rk4_linear(apply_h, y0: np.ndarray, s: float, t: float, dt: float) -> np.ndarray:
-    """Classical RK4 for i hbar dy/dt = apply_h(t, y) from y(s) = y0 to y(t).
-
-    Takes ceil(|t - s| / dt) equal steps, so dt bounds every step taken; time
-    may run forward or backward.  Returns a new array.
-    """
-    steps, step = _step_grid(s, t, dt)
-    y = np.array(y0, copy=True)
-    for n in range(steps):
-        y = rk4_step(apply_h, y, s + n * step, step)
-    return y
-
-
 def _ordered_product(incs: np.ndarray) -> np.ndarray:
     """D with I + D = (I + incs[N-1]) @ ... @ (I + incs[0]), by pairwise batched products."""
     while len(incs) > 1:
@@ -404,10 +347,10 @@ def evolve(h: HamiltonianSpec, t: float, s: float, dt: float) -> np.ndarray:
     """Time-ordered solution of i dU/dt = H(t) U, U(s,s) = I (classical RK4).
 
     Integrates forward or backward; dt is the magnitude of the step.  The
-    steps are those of rk4_linear, taken BLOCK_STEPS at a time.  One batched
-    rk4_step gives a block's step matrices as increments D_n = R_n - I: it
-    steps i dD/dt = H (I + D) from D = 0, the same stages as a step from
-    U = I.  Their ordered product advances U.  Never rounding I + D_n keeps
+    steps are those of numerics.rk4_linear, taken BLOCK_STEPS at a time.
+    One batched rk4_step gives a block's step matrices as increments
+    D_n = R_n - I: it steps i dD/dt = H (I + D) from D = 0, the same stages
+    as a step from U = I.  Their ordered product advances U.  Never rounding I + D_n keeps
     the roundoff to the size of one step's change, below the step loop's.
     """
     steps, step = _step_grid(s, t, dt)

@@ -59,6 +59,14 @@ def test_verify_rejects_oversized_signature():
     assert main(["verify", "--signature", "9,9"]) == 2
 
 
+def test_signature_above_the_ceiling_names_the_ceiling(capsys):
+    # Signature decides the ceiling, and the usage error passes its message on
+    assert main(["spinor-rep", "--signature", "6,6"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad signature '6,6': ")
+    assert "n <= 10" in err
+
+
 def test_verify_deterministic_reports(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["verify", "--signature", "1,1", "--seed", "7", "--out", str(out1)]) == 0
@@ -143,6 +151,20 @@ def test_closure_failure_behind_field_gammas_is_a_numerical_fault(
     assert main(["dirac", "--scenario", "hermiticity", "--out", str(tmp_path)]) == 3
     assert capsys.readouterr().err.startswith("error: numerical fault: ")
     assert not (tmp_path / "dirac_report.json").exists()
+
+
+def test_escaped_exception_is_an_internal_fault(tmp_path, capsys, monkeypatch):
+    # exit 1 means a law failed; an exception nothing maps must not read as one
+    def broken(self, t, s):
+        raise KeyError("no such row")
+
+    monkeypatch.setattr(tr.Transport, "unitarity_residual", broken)
+    argv = ["transport", "--scenario", write_scenario(tmp_path, qubit_scenario_dict())]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal fault: KeyError: 'no such row'\n")
+    assert "Traceback" in err
+    assert not (tmp_path / "out" / "transport_report.json").exists()
 
 
 def test_field_gamma_gate_failure_is_a_numerical_fault(tmp_path, capsys, monkeypatch):
@@ -560,6 +582,13 @@ def test_dirac_dalembert_rejects_refine_below_one(refine, capsys):
     argv = ["dirac", "--scenario", "dalembert", "--grid", "8,8", "--refine", refine]
     assert main(argv) == 2
     assert "--refine >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["16", "8,8,8"])
+def test_dirac_dalembert_rejects_a_grid_without_two_axes(grid, capsys):
+    # the scenario reads a (t, x) grid; any other axis count is a bad config
+    assert main(["dirac", "--scenario", "dalembert", "--grid", grid]) == 2
+    assert "two axes (t, x)" in capsys.readouterr().err
 
 
 # the README's --tol table, with a small grid per scenario so each case runs fast

@@ -39,8 +39,8 @@ from clifbundle.fields import (
     wrapped_momentum,
 )
 from clifbundle.ga import Signature
+from clifbundle.numerics import rk4_linear
 from clifbundle.spinor import gamma_set_for_signature
-from clifbundle.transport import rk4_linear
 
 L = 2 * np.pi
 

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from clifbundle import ga
 from clifbundle.ga import (
     DimensionMismatchError,
     GradeError,
@@ -460,11 +461,19 @@ def test_orthogonal_frame_diagonalizes_zero_diagonal_gram():
 
 
 def test_dimension_ceiling(monkeypatch):
-    monkeypatch.setenv("CLIFBUNDLE_NMAX", "4")
+    monkeypatch.setattr(ga, "MAX_DIMENSION", 4)
     with pytest.raises(ValueError):
         Signature(3, 2)
-    monkeypatch.delenv("CLIFBUNDLE_NMAX")
+    monkeypatch.undo()
     Signature(3, 2)  # fine with the default ceiling
+
+
+def test_dimension_ceiling_reads_no_environment(monkeypatch):
+    # the ceiling is the constant ga.MAX_DIMENSION, which no environment variable sets
+    monkeypatch.setenv("CLIFBUNDLE_NMAX", "4")
+    assert Signature(3, 2).n == 5
+    with pytest.raises(ValueError, match="n <= 10"):
+        Signature(6, 5)
 
 
 def test_text_form_round_trip_exact():

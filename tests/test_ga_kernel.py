@@ -207,7 +207,7 @@ def test_vector_product_split_holds_through_the_caches():
 @pytest.mark.parametrize("exact_gram", [False, True])
 def test_sparse_products_at_large_n_touch_only_their_terms(monkeypatch, exact_gram):
     # n = 40 has 2^40 blades: any table over every mask would not fit
-    monkeypatch.setenv("CLIFBUNDLE_NMAX", "40")
+    monkeypatch.setattr(ga, "MAX_DIMENSION", 40)
     n = 40
     if exact_gram:
         # tridiagonal with 1/3 couplings: a general frame whose squares are not +-1

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clifbundle.numerics import rk4_linear
 from clifbundle.transport import (
     HamiltonianSpec,
     HermiticityError,
@@ -23,7 +24,6 @@ from clifbundle.transport import (
     matrix_bundle_hamiltonian,
     path_derivation,
     qubit_scenario_dict,
-    rk4_linear,
     scenario_from_dict,
     solve_bundle_schrodinger,
 )
