@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import traceback
@@ -618,6 +619,8 @@ def cmd_dirac(args) -> int:
 # entry point
 
 
+# parse_args leaves the parser as it found it, so one process builds it once
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clifbundle",

@@ -31,8 +31,9 @@ def _well_conditioned(m: np.ndarray) -> np.ndarray:
 
 def _step_grid(s: float, t: float, dt: float) -> tuple[int, float]:
     """ceil(|t - s| / dt) equal steps from s to t, so dt bounds every step taken."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    # NaN fails this test too: it compares false with everything
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     span = t - s
     if span == 0:
         return 0, 0.0

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -438,6 +439,18 @@ def test_transport_non_finite_hamiltonian_is_config_error(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -1e-3])
+def test_transport_dt_that_is_not_positive_and_finite_is_config_error(tmp_path, capsys, dt):
+    # NaN used to escape as a float-to-integer error, and infinity ran one step
+    # over the whole path and exited 1 on the failed laws
+    data = qubit_scenario_dict()
+    data["dt"] = dt
+    out = tmp_path / "out"
+    assert main(["transport", "--scenario", write_scenario(tmp_path, data), "--out", str(out)]) == 2
+    assert "dt must be positive and finite" in capsys.readouterr().err
+    assert not (out / "transport_report.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # dirac
 
@@ -722,3 +735,28 @@ def test_transport_gauged_scenario(tmp_path):
 
 def test_spinor_rep_rejects_multiple_signatures():
     assert main(["spinor-rep", "--signature", "1,1", "--signature", "2,0"]) == 2
+
+
+def test_one_process_runs_commands_in_turn_like_fresh_ones(tmp_path):
+    # the parser is built once per process: each run must read only its own argv,
+    # and dirac's seed default None must still be filled in afresh
+    scenario = str(Path(__file__).resolve().parents[1] / "scenarios" / "qubit.json")
+    runs = [
+        (["dirac", "--seed", "5"], "dirac_report.json"),
+        (["dirac"], "dirac_report.json"),
+        (["spinor-rep", "--signature", "3,1"], "spinor_rep_report.json"),
+        (["transport", "--scenario", scenario], "transport_report.json"),
+    ]
+
+    def run(k, argv, name, label):
+        out = tmp_path / f"{label}{k}"
+        main(argv + ["--out", str(out)])
+        report = load_report(out, name)
+        report.pop("wall_time_s")
+        return report
+
+    in_turn = [run(k, argv, name, "in-turn") for k, (argv, name) in enumerate(runs)]
+    for k, (argv, name) in enumerate(runs):
+        cli.build_parser.cache_clear()
+        assert run(k, argv, name, "fresh") == in_turn[k]
+    assert in_turn[1]["config"]["seed"] == 0

@@ -133,9 +133,9 @@ def _hermitian(rng, dim):
 SPEC_KINDS = ("constant", "polynomial", "scaled", "tabulated")
 
 
-def _spec(kind: str) -> HamiltonianSpec:
+def _spec(kind: str, dim: int = 3) -> HamiltonianSpec:
     rng = np.random.default_rng(7)
-    h0, h1, h2 = (_hermitian(rng, 3) for _ in range(3))
+    h0, h1, h2 = (_hermitian(rng, dim) for _ in range(3))
     if kind == "constant":
         return HamiltonianSpec.constant(h0)
     if kind == "polynomial":
@@ -146,11 +146,7 @@ def _spec(kind: str) -> HamiltonianSpec:
     return HamiltonianSpec.tabulated([0.0, 0.3, 0.55, 1.0], [h0, h1, h2, -h0], 0.0, 1.0)
 
 
-@pytest.mark.parametrize("steps", [1, 63, 64, 65, 1000])
-@pytest.mark.parametrize("t, s", [(1.0, 0.0), (0.0, 1.0)], ids=["forward", "backward"])
-@pytest.mark.parametrize("kind", SPEC_KINDS)
-def test_batched_evolve_matches_step_loop(kind, t, s, steps):
-    spec = _spec(kind)
+def _assert_evolve_matches_step_loop(spec, t, s, steps):
     dt = abs(t - s) / (steps - 0.5)
     assert math.ceil(abs(t - s) / dt) == steps
     loop = rk4_linear(
@@ -160,17 +156,55 @@ def test_batched_evolve_matches_step_loop(kind, t, s, steps):
     assert np.max(np.abs(batched - loop)) <= 1e-12 * np.max(np.abs(loop))
 
 
+@pytest.mark.parametrize("steps", [1, 63, 64, 65, 1000])
+@pytest.mark.parametrize("t, s", [(1.0, 0.0), (0.0, 1.0)], ids=["forward", "backward"])
+@pytest.mark.parametrize("kind", SPEC_KINDS)
+def test_batched_evolve_matches_step_loop(kind, t, s, steps):
+    _assert_evolve_matches_step_loop(_spec(kind), t, s, steps)
+
+
+# a constant spec takes the matrix power: step counts with one, two and many
+# set bits, and a fibre wider than the qubit
+@pytest.mark.parametrize("steps", [2, 3, 4097])
+@pytest.mark.parametrize("t, s", [(1.0, 0.0), (0.0, 1.0)], ids=["forward", "backward"])
+@pytest.mark.parametrize("dim", [3, 8])
+def test_constant_evolve_matches_step_loop(dim, t, s, steps):
+    _assert_evolve_matches_step_loop(_spec("constant", dim), t, s, steps)
+
+
 @pytest.mark.parametrize("t", [1.0, -1.0], ids=["forward", "backward"])
 def test_evolve_roundoff_does_not_grow_with_the_step_count(t):
     # at 10 000 steps the truncation error is ~1e-18, so what is left is
-    # roundoff: ~1e-15 for the step loop and the increment blocks, 2.4e-13
-    # for a block product that rounds each step matrix I + D_n
+    # roundoff: ~1e-15 for the step loop and for the increment power, 2.4e-13
+    # for a product that rounds each step matrix I + D_n
     u = evolve(HamiltonianSpec.constant(QUBIT_H), t, 0.0, 1e-4)
     assert np.max(np.abs(u - qubit_exact(t))) <= 1e-14
 
 
+@pytest.mark.parametrize("t", [1.0, -1.0], ids=["forward", "backward"])
+def test_constant_evolve_over_a_million_steps_lands_on_the_exponential(t):
+    h = _hermitian(np.random.default_rng(3), 8)
+    evals, evecs = np.linalg.eigh(h)
+    exact = evecs @ np.diag(np.exp(-1j * t * evals)) @ evecs.conj().T
+    u = evolve(HamiltonianSpec.constant(h), t, 0.0, 1e-6)
+    assert np.max(np.abs(u - exact)) <= 1e-14
+
+
+@pytest.mark.parametrize("kind", ["constant", "zero"])
+def test_constant_evolve_never_evaluates_the_spec(monkeypatch, kind):
+    spec = HamiltonianSpec.constant(QUBIT_H) if kind == "constant" else HamiltonianSpec.zero(2)
+
+    def refuse(self, t):
+        raise AssertionError("HamiltonianSpec.matrix called")
+
+    monkeypatch.setattr(HamiltonianSpec, "matrix", refuse)
+    evolve(spec, 1.0, 0.0, 1e-3)
+    evolve(spec, 0.0, 1.0, 1e-3)
+
+
 def test_evolve_memory_is_bounded_by_the_block():
-    spec = HamiltonianSpec.constant(_hermitian(np.random.default_rng(1), 8))
+    # a time-dependent spec, so the block loop runs; a constant one takes the power
+    spec = _spec("polynomial", 8)
     evolve(spec, 0.01, 0.0, 1e-3)  # warm up numpy's first-call allocations
     peaks = []
     for steps in (1_000, 10_000):
