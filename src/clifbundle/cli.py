@@ -3,8 +3,9 @@
 Subcommands
 -----------
 verify      identity suites (anticommutation relations, dimension counts,
-            associativity sampling) per --signature, plus the classification
-            rows of the reference signatures 0,1 0,2 1,1 2,0 3,1 1,3
+            associativity sampled from --seed) per --signature, by default
+            each reference signature 0,1 0,2 1,1 2,0 3,1 1,3, plus the five
+            classification rows of every reference signature
 spinor-rep  primitive idempotent as a greedy product, minimal ideal,
             gamma/sigma extraction
 transport   evolution-transport scenario from a JSON file
@@ -145,8 +146,8 @@ def _verify_signature(report: Report, sig: Signature, rng) -> None:
 
 
 def cmd_verify(args) -> int:
-    sigs = [_parse_signature(s) for s in args.signature] if args.signature else [
-        Signature(1, 1), Signature(2, 0), Signature(0, 2), Signature(3, 1), Signature(1, 3)
+    sigs = [_parse_signature(s) for s in args.signature or []] or [
+        Signature(p, q) for p, q in sp.REFERENCE_SIGNATURES
     ]
     rng = np.random.default_rng(args.seed)
     report = Report(
@@ -170,7 +171,7 @@ def cmd_spinor_rep(args) -> int:
     sig = _parse_signature(args.signature[0])
     report = Report(
         command="spinor-rep",
-        config={"signature": f"{sig.p},{sig.q}", "seed": args.seed},
+        config={"signature": f"{sig.p},{sig.q}"},
     )
     idem, gamma_set = sp.spinor_representation(sig)
     f = idem.idempotent
@@ -237,7 +238,6 @@ def cmd_transport(args) -> int:
             "scenario": args.scenario,
             "dt": scenario.dt,
             "fibre_dim": scenario.fibre_dim,
-            "seed": args.seed,
             "tolerances": tols,
         },
     )
@@ -346,8 +346,16 @@ def _potential_preset(name: str, grid: fl.Grid, n_components: int) -> fl.EMPoten
 MAX_GRID_SITES = 1 << 22
 
 
+def _parse_extents(text: str) -> tuple:
+    """--grid as extents, each refused below 4 points before any arithmetic on it."""
+    extents = tuple(int(x) for x in text.split(","))
+    if any(n < 4 for n in extents):
+        raise UsageError(f"bad --grid {text!r}: each axis needs >= 4 points")
+    return extents
+
+
 def _grid_from_args(args, default_extents) -> fl.Grid:
-    extents = tuple(int(x) for x in args.grid.split(",")) if args.grid else default_extents
+    extents = _parse_extents(args.grid) if args.grid else default_extents
     if args.spacing:
         spacing = tuple(float(x) for x in args.spacing.split(","))
         if len(spacing) == 1:
@@ -434,7 +442,7 @@ def _dirac_hermiticity(args, report: Report, tols: dict, rng) -> None:
 
 def _dirac_dalembert(args, report: Report, tols: dict, rng) -> None:
     base = args.grid or "64,64"
-    extents = tuple(int(x) for x in base.split(","))
+    extents = _parse_extents(base)
     if len(extents) != 2:
         raise UsageError(f"dalembert needs a grid of two axes (t, x), got --grid {base}")
     refinements = args.refine
@@ -630,7 +638,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, tol_names=None):
         p.add_argument("--out", help="directory for JSON reports and CSV series")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
         if tol_names:
             p.add_argument(
                 "--tol", action="append", metavar="NAME=VALUE",
@@ -640,8 +647,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the algebra identity suites")
     p_verify.add_argument(
         "--signature", action="append", metavar="P,Q",
-        help="signature to check (repeatable; default: the five reference ones)",
+        help="signature to check (repeatable; default: the six reference ones)",
     )
+    p_verify.add_argument("--seed", type=int, default=0, help="seed for associativity sampling")
     common(p_verify)
 
     p_rep = sub.add_parser("spinor-rep", help="inspect the spinor representation")
@@ -664,9 +672,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_di.add_argument("--charge", type=float)
     p_di.add_argument("--potential", help="zero | constant-E | plane-wave-gauge")
     p_di.add_argument("--refine", type=int, help="grid doublings for convergence studies")
+    # each dirac flag defaults to None, a flag left out; cmd_dirac fills in _DIRAC_FLAGS
+    p_di.add_argument("--seed", type=int, help="seed of the hermiticity and wrap-check fields")
     common(p_di, "; ".join(f"{k}: {', '.join(v[2])}" for k, v in DIRAC_SCENARIOS.items()))
-    # None marks a flag left out; cmd_dirac fills in the defaults of _DIRAC_FLAGS
-    p_di.set_defaults(seed=None)
     return parser
 
 

@@ -9,7 +9,7 @@ steps: numerics.rk4_linear steps the whole grid, and a Klein-Gordon
 doublet, or a Dirac field whose coupling e A is the same at every site,
 is stepped one Fourier mode at a time instead (_evolve_modes), by the
 closed form of the mode's N RK4 steps that a symbol with two eigenvalues
-c +- omega admits.
+c +- omega admits; a symbol without them is refused.
 The Minkowski gamma sets are the exact algebra-level representations read
 as floats, with no change of basis: the 1+1 case uses the Cl(1,1) matrices
 directly, the 3+1 case multiplies the Cl(3,1) set by i so the metric
@@ -69,8 +69,9 @@ class Grid:
             raise GridError("extents and spacing must have equal length")
         if any(n < 4 for n in extents):
             raise GridError(f"each axis needs >= 4 points, got {extents}")
-        if any(s <= 0 for s in spacing):
-            raise GridError(f"spacing must be positive, got {spacing}")
+        # NaN fails this test too: it compares false with everything
+        if not all(0 < s < math.inf for s in spacing):
+            raise GridError(f"spacing must be positive and finite, got {spacing}")
         object.__setattr__(self, "extents", extents)
         object.__setattr__(self, "spacing", spacing)
 
@@ -629,8 +630,9 @@ def _evolve_modes(apply_h, comp: np.ndarray, grid: Grid, t: float, dt: float) ->
     formed.  omega^2 is read as (H'^2)_00 = (alpha - s)(alpha + s), with
     alpha = H'_00 and s^2 = -sum_{j>0} H'_0j H'_j0, which does not cancel
     where |alpha| and |s| far exceed omega.  The test H'^2 = omega^2 I is
-    made on the read symbol, relative to max|H|^2; if any mode fails it,
-    rk4_linear steps the whole grid instead.
+    made on the read symbol, relative to max|H|^2, and a failing mode raises
+    ValueError: no operator built here fails it unless its symbol overflows
+    (Dirac: H'^2 = (|p|^2 + m^2) I; Klein-Gordon: H^2 = (m^2 + 2 m w) I).
     """
     steps, step = _step_grid(0.0, t, dt)
     if steps == 0:
@@ -650,8 +652,12 @@ def _evolve_modes(apply_h, comp: np.ndarray, grid: Grid, t: float, dt: float) ->
         s = np.sqrt(-np.sum(h_prime[:, 0, 1:] * h_prime[:, 1:, 0], axis=1))
         omega_sq = (alpha - s) * (alpha + s)
         defect = h_prime @ h_prime - omega_sq[:, None, None] * eye
-        if not np.max(np.abs(defect)) <= bound:
-            return rk4_linear(apply_h, comp, 0.0, t, dt)
+        worst = np.max(np.abs(defect))
+        if not worst <= bound:
+            raise ValueError(
+                f"the mode symbol has no two eigenvalues c +- omega: |H'^2 - omega^2 I| = "
+                f"{worst:.3g} exceeds {_QUADRATIC_TOL:g} max|H|^2 = {bound:.3g}"
+            )
         omega = np.sqrt(omega_sq)
         z_c = tau * center
         up = _rk4_power(z_c + tau * omega, steps)

@@ -13,7 +13,8 @@ the lcm of the entry denominators, over Python ints; the anticommutator and
 sigma checks run on the products N^mu N^nu, formed once, and return
 Fractions.  verify_iso_table reads every expected value from one (p - q)
 mod 8 table of types, R(m), R(m)+R(m), C(m), H(m) or H(m)+H(m), and
-certifies the span of the blade images by their rank modulo a prime.
+certifies the span of the blade images by their rank modulo a prime; the
+centre row reads the type of Cl^0(p,q) = Cl(p,q-1) from the same table.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .ga import (
     Metric,
     Multivector,
     Signature,
-    basis_blades,
     blade_label,
     clifford,
     grade_of_mask,
@@ -469,8 +469,45 @@ def sandwich_rank(f: Multivector, metric: Metric) -> int:
     return exact.rank(exact.frac_matrix([[s.coeff(m) for m in masks] for s in sandwiches]))
 
 
+def centre_row(sig: Signature) -> Check:
+    """omega = e_1...e_n central in an algebra of odd rank, its square read from the table.
+
+    For odd n that algebra is Cl(p,q).  For even n it is Cl^0(p,q), which
+    f_i = e_i e_n (i < n) generate with f_i^2 = -e_i^2 e_n^2; as e_n^2 = -1
+    whenever q >= 1, Cl^0(p,q) = Cl(p,q-1) for q >= 1 and Cl(0,p-1) for
+    q = 0.  With an odd number of generators omega is central, and the
+    algebra is C(m) where omega^2 = -1 and K(m)+K(m) where omega^2 = +1
+    (Lounesto, ch. 16; Porteous, ch. 15).
+    """
+    n, metric = sig.n, sig.metric()
+    blade = lambda mask: Multivector(n, {mask: Fraction(1)})
+    if n % 2:
+        algebra, name, masks = sig, str(sig), [1 << i for i in range(n)]
+    else:
+        algebra = Signature(sig.p, sig.q - 1) if sig.q else Signature(0, sig.p - 1)
+        name = f"Cl^0({sig.p},{sig.q}) = {algebra}"
+        masks = [1 << i | 1 << (n - 1) for i in range(n - 1)]
+    top = (1 << n) - 1
+    omega = blade(top)
+    central = all(
+        clifford(omega, blade(m), metric) == clifford(blade(m), omega, metric) for m in masks
+    )
+    square = clifford(omega, omega, metric)
+    kind = algebra_type(algebra)[0]
+    # an odd-rank algebra of any other type contradicts the table: no square matches
+    predicted = -1 if kind[0] == "C" else 1 if "+" in kind else None
+    ok = central and predicted is not None and square == Multivector.scalar(predicted, n)
+    return Check(
+        f"cl{sig.p}{sig.q}-centre", 0 if ok else 1, 0,
+        f"omega = {blade_label(top)} is central in {name} = {kind}, so omega^2 = "
+        + (f"{predicted:+d}" if predicted else "neither +1 nor -1"),
+        details=f"omega^2 = {square}; {'commutes' if central else 'does not commute'} with "
+        + ", ".join(blade_label(m) for m in masks),
+    )
+
+
 def classification_rows(sig: Signature) -> list[Check]:
-    """Four rows for one signature, each expected value read from algebra_type."""
+    """Five rows for one signature, each expected value read from algebra_type."""
     kind, division, ideal, span = algebra_type(sig)
     name = f"cl{sig.p}{sig.q}"
     report, gamma_set = spinor_representation(sig)
@@ -500,67 +537,13 @@ def classification_rows(sig: Signature) -> list[Check]:
             f"the 2^n blade images span {span} = dim_R {kind.split('+')[0]}",
             details=f"span dimension {found} of {span}",
         ),
-    ]
-
-
-def _quaternion_checks() -> Check:
-    metric = Signature(0, 2).metric()
-    mul = lambda a, b: clifford(a, b, metric)
-    minus_one = Multivector.scalar(Fraction(-1), 2)
-    i, j = (Multivector.basis_vector(a, 2, Fraction(1)) for a in (1, 2))
-    k = mul(i, j)
-    ok = mul(mul(i, j), k) == minus_one and all(
-        mul(a, a) == minus_one and mul(a, b) == c == -mul(b, a)
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
-    )
-    return Check(
-        "cl02-quaternion-table",
-        0 if ok else 1, 0,
-        "i^2 = j^2 = k^2 = ijk = -1 with i=e1, j=e2, k=e1e2",
-        details="Cl(0,2) reproduces the quaternion structure constants",
-    )
-
-
-def _even_subalgebra_checks() -> list[Check]:
-    metric = Signature(3, 1).metric()
-    blade = lambda mask: Multivector(4, {mask: Fraction(1)})
-    even_masks = [m for m in basis_blades(4) if grade_of_mask(m) % 2 == 0]
-    omega = blade(0b1111)
-    sq = clifford(omega, omega, metric)
-    central = all(
-        clifford(omega, blade(m), metric) == clifford(blade(m), omega, metric) for m in even_masks
-    )
-    # closure of the even part under the product
-    closed = all(
-        grade_of_mask(mask) % 2 == 0
-        for ma in even_masks
-        for mb in even_masks
-        for mask in clifford(blade(ma), blade(mb), metric).terms
-    )
-    return [
-        Check(
-            "cl31-even-dimension",
-            0 if len(even_masks) == 8 else 1, 0,
-            "even subalgebra of Cl(3,1) has dimension 2^(n-1) = 8 = dim_R M_2(C)",
-            details=f"counted {len(even_masks)} even blades",
-        ),
-        Check(
-            "cl31-even-central-imaginary",
-            0 if sq == Multivector.scalar(Fraction(-1), 4) and central else 1, 0,
-            "e1234 squares to -1 and is central in the even subalgebra",
-            details=f"omega^2 = {sq}",
-        ),
-        Check(
-            "cl31-even-closed", 0 if closed else 1, 0,
-            "the even subalgebra is closed under the Clifford product",
-        ),
+        centre_row(sig),
     ]
 
 
 def verify_iso_table(signatures=None) -> list[Check]:
-    """Classification rows for each (p, q) (default REFERENCE_SIGNATURES), plus
-    the quaternion table of Cl(0,2) and the even subalgebra of Cl(3,1)."""
-    rows = [_quaternion_checks(), *_even_subalgebra_checks()]
-    for p, q in signatures or REFERENCE_SIGNATURES:
-        rows.extend(classification_rows(Signature(p, q)))
-    return rows
+    """The classification rows of each (p, q), default REFERENCE_SIGNATURES."""
+    return [
+        row for p, q in signatures or REFERENCE_SIGNATURES
+        for row in classification_rows(Signature(p, q))
+    ]

@@ -114,10 +114,10 @@ def test_criterion_03_isomorphism_table(monkeypatch):
     monkeypatch.setattr(spinor, "spinor_representation", keep)
     with Budget("3 isomorphism table p+q <= 8", 5.0):
         rows = {r.name: r for r in verify_iso_table([(s.p, s.q) for s in sigs])}
-        assert rows["cl02-quaternion-table"].passed
-        assert rows["cl31-even-dimension"].passed     # dim 8
-        assert rows["cl31-even-central-imaginary"].passed
-        assert len(rows) == 4 + 4 * len(sigs)
+        # omega central in Cl^0(0,2) = C and Cl^0(3,1) = C(2), squaring to -1
+        assert rows["cl02-centre"].passed
+        assert rows["cl31-centre"].passed
+        assert len(rows) == 5 * len(sigs)
         assert all(r.passed for r in rows.values()), [
             n for n, r in rows.items() if not r.passed
         ]

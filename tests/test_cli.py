@@ -2,6 +2,9 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -44,12 +47,17 @@ def test_verify_single_signature_passes(tmp_path, capsys):
     assert report["config"]["seed"] == 0
 
 
-def test_verify_includes_quaternion_check(tmp_path):
-    code = main(["verify", "--signature", "0,2", "--out", str(tmp_path)])
-    assert code == 0
+def test_verify_defaults_to_the_reference_signatures(tmp_path):
+    assert main(["verify", "--out", str(tmp_path)]) == 0
     report = load_report(tmp_path, "verify_report.json")
-    names = [c["name"] for c in report["checks"]]
-    assert "cl02-quaternion-table" in names
+    tags = [f"cl{p}{q}" for p, q in sp.REFERENCE_SIGNATURES]
+    assert report["config"]["signatures"] == [f"{p},{q}" for p, q in sp.REFERENCE_SIGNATURES]
+    # three identity rows per --signature and five classification rows per reference one
+    rows = ("defining-relations", "dimension-counts", "associativity",
+            "minimal-ideal", "primitive", "gamma-relations", "blade-span", "centre")
+    assert sorted(c["name"] for c in report["checks"]) == sorted(
+        f"{tag}-{row}" for tag in tags for row in rows
+    )
 
 
 def test_verify_rejects_zero_dimension():
@@ -597,6 +605,51 @@ def test_dirac_dalembert_rejects_refine_below_one(refine, capsys):
     assert "--refine >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "scenario, grid",
+    [
+        ("dispersion", "0"), ("hermiticity", "0,4"), ("dalembert", "0,8"),
+        ("kg-roundtrip", "0"), ("wrap-check", "4,0"), ("dispersion", "-4"),
+    ],
+)
+def test_dirac_grid_extent_below_four_is_refused_before_any_arithmetic(
+    scenario, grid, capsys, recwarn
+):
+    # an extent of 0 used to divide 2 pi by it first: exit 3, ZeroDivisionError
+    assert main(["dirac", "--scenario", scenario, "--grid", grid]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: bad --grid '{grid}': each axis needs >= 4 points"]
+    assert len(recwarn) == 0
+
+
+@pytest.mark.parametrize("spacing", ["inf", "nan", "1,inf"])
+def test_dirac_spacing_outside_zero_to_infinity_is_refused_before_any_arithmetic(
+    spacing, capsys, recwarn
+):
+    # inf used to run and fail with NaN residuals (exit 1), and nan warned first
+    assert main(["dirac", "--scenario", "hermiticity", "--grid", "8,8", "--spacing", spacing]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: spacing must be positive and finite, got (")
+    assert len(recwarn) == 0
+
+
+def test_dirac_dispersion_with_an_overflowing_symbol_is_refused_at_once():
+    # spacing 1e-300: dt = spacing / 8 gives 8e300 steps, and the symbol overflows.
+    # The per-mode path used to fall back to the step loop and run all of them.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["dirac", "--scenario", "dispersion", "--spacing", "1e-300"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "clifbundle.cli", *argv],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1].startswith(
+        "error: the mode symbol has no two eigenvalues c +- omega"
+    )
+
+
 @pytest.mark.parametrize("grid", ["16", "8,8,8"])
 def test_dirac_dalembert_rejects_a_grid_without_two_axes(grid, capsys):
     # the scenario reads a (t, x) grid; any other axis count is a bad config
@@ -731,6 +784,20 @@ def test_transport_gauged_scenario(tmp_path):
     assert code == 0
     report = load_report(out, "transport_report.json")
     assert all(c["status"] == "pass" for c in report["checks"])
+
+
+@pytest.mark.parametrize(
+    "argv", [["spinor-rep", "--signature", "1,1"], ["transport", "--scenario", "QUBIT"]]
+)
+def test_seed_is_not_an_option_of_commands_that_draw_no_random_number(tmp_path, argv):
+    qubit = write_scenario(tmp_path, qubit_scenario_dict())
+    argv = [qubit if a == "QUBIT" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "1"])
+    assert exc.value.code == 2
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    report = load_report(tmp_path, f"{argv[0].replace('-', '_')}_report.json")
+    assert "seed" not in report["config"]
 
 
 def test_spinor_rep_rejects_multiple_signatures():

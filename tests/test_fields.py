@@ -134,6 +134,9 @@ def test_grid_validation():
         Grid((8,), (-0.1,))
     with pytest.raises(GridError):
         Grid((8, 8), (0.1,))
+    for spacing in (np.inf, np.nan):
+        with pytest.raises(GridError, match="positive and finite"):
+            Grid((8,), (spacing,))
 
 
 def test_grid_volume_does_not_wrap():
@@ -623,15 +626,16 @@ def test_only_a_site_dependent_coupling_takes_the_step_loop(
     assert len(fields_loop_calls) == loop_calls
 
 
-def test_a_symbol_without_two_eigenvalues_takes_the_step_loop(fields_loop_calls):
+def test_a_symbol_without_two_eigenvalues_is_refused(fields_loop_calls):
     # diag(1, 2, 4): H - (7/3) I does not square to a multiple of I
     grid = Grid((16,), (L / 16,))
     psi0 = random_spinor(grid, 3, seed=4)
     weights = np.reshape([1.0, 2.0, 4.0], (3, 1))
-    got = fields._evolve_modes(lambda _, y: weights * y, psi0.components, grid, 0.05, 1e-2)
-    assert len(fields_loop_calls) == 1
-    ref = rk4_linear(lambda _, y: weights * y, psi0.components, 0.0, 0.05, 1e-2)
-    assert np.array_equal(got, ref)
+    # max|H| = 4, so the bound is 1e-12 * 16
+    message = r"no two eigenvalues .* exceeds 1e-12 max\|H\|\^2 = 1.6e-11"
+    with pytest.raises(ValueError, match=message):
+        fields._evolve_modes(lambda _, y: weights * y, psi0.components, grid, 0.05, 1e-2)
+    assert fields_loop_calls == []
 
 
 def long_double_loop(apply_h, comp: np.ndarray, t: float, dt: float) -> np.ndarray:

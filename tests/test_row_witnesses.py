@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from clifbundle import spinor as sp
 from clifbundle import transport as tr
 from clifbundle.cli import main
 
@@ -91,3 +92,17 @@ def test_transport_rows_witness_their_defect(tmp_path, monkeypatch, name, defect
     assert main(["transport", "--scenario", str(SCENARIOS / scenario), "--out", str(tmp_path)]) == 1
     report = json.loads((tmp_path / "transport_report.json").read_text())
     assert {c["name"] for c in report["checks"] if c["status"] == "fail"} == failing
+
+
+# no other row of the default verify reads either entry: Cl^0(1,1) = Cl(1,0)
+# has p - q = 1, and Cl^0(3,1) = Cl(3,0) has p - q = 3
+@pytest.mark.parametrize(
+    "index, wrong, failing", [(1, "C", "cl11-centre"), (3, "R", "cl31-centre")]
+)
+def test_centre_rows_witness_a_wrong_type_table_entry(tmp_path, monkeypatch, index, wrong, failing):
+    types = list(sp.ALGEBRA_TYPES)
+    types[index] = wrong
+    monkeypatch.setattr(sp, "ALGEBRA_TYPES", tuple(types))
+    assert main(["verify", "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    assert {c["name"] for c in report["checks"] if c["status"] == "fail"} == {failing}

@@ -25,6 +25,23 @@ def test_ideal_survey_runs(capsys):
     assert "Cl(3,1)" in "\n".join(lines)
 
 
+def test_transport_order_study_fits_order_four(capsys):
+    runpy.run_path(str(SCRIPTS / "transport_order_study.py"), run_name="__main__")
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith("fitted order: ")
+    assert abs(float(last.split(": ")[1]) - 4) < 0.05
+
+
+def test_dirac_dispersion_demo_measures_the_lattice_energy(capsys):
+    runpy.run_path(str(SCRIPTS / "dirac_dispersion_demo.py"), run_name="__main__")
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["k", "E_measured", "E_lattice", "E_continuum"]
+    assert len(rows) == 4
+    for row in rows:
+        _, measured, lattice, _ = row.split()
+        assert measured == lattice, row
+
+
 def write_report(run_dir, details, wall_time_s, relation="f f = f"):
     run_dir.mkdir(parents=True, exist_ok=True)
     report = {

@@ -355,12 +355,10 @@ def test_iso_table_all_pass():
     failures = [r.name for r in rows if not r.passed]
     assert failures == []
     names = {r.name for r in rows}
-    assert "cl02-quaternion-table" in names
-    assert "cl31-even-central-imaginary" in names
     for p, q in [(0, 1), (0, 2), (1, 1), (2, 0), (3, 1), (1, 3)]:
-        for row in ("minimal-ideal", "primitive", "gamma-relations", "blade-span"):
+        for row in ("minimal-ideal", "primitive", "gamma-relations", "blade-span", "centre"):
             assert f"cl{p}{q}-{row}" in names
-    assert len(rows) == 4 + 6 * 4
+    assert len(rows) == 6 * 5
 
 
 @pytest.mark.parametrize(
@@ -380,13 +378,29 @@ def test_type_table_ideal_matches_the_radon_hurwitz_formula():
         assert algebra_type(sig)[2] == minimal_ideal_dimension(sig), sig
 
 
+def test_centre_row_passes_on_every_signature_up_to_ten():
+    sigs = signatures_up_to(10)
+    assert [sig for sig in sigs if not spinor.centre_row(sig).passed] == []
+
+
+@pytest.mark.parametrize(
+    "p,q,algebra",
+    # odd n: the algebra itself; even n: Cl(p,q-1), or Cl(0,p-1) when q = 0
+    [(0, 1, "Cl(0,1) = C(1)"), (1, 0, "Cl(1,0) = R(1)+R(1)"), (2, 0, "Cl(0,1) = C(1)"),
+     (3, 1, "Cl(3,0) = C(2)"), (4, 0, "Cl(0,3) = H(1)+H(1)"), (2, 2, "Cl(2,1) = R(2)+R(2)")],
+)
+def test_centre_row_reads_the_odd_rank_algebra_from_the_table(p, q, algebra):
+    row = spinor.centre_row(Signature(p, q))
+    assert row.passed and f" {algebra}, " in row.relation
+
+
 def test_table_rows_catch_a_construction_that_stops_early(monkeypatch):
     # with the stop moved to the whole algebra, f = 1 is not primitive in R(2)
     monkeypatch.setattr(spinor, "minimal_ideal_dimension", lambda sig: 1 << sig.n)
     passed = {r.name: r.passed for r in spinor.classification_rows(Signature(1, 1))}
     assert passed == {
         "cl11-minimal-ideal": False, "cl11-primitive": False,
-        "cl11-gamma-relations": True, "cl11-blade-span": True,
+        "cl11-gamma-relations": True, "cl11-blade-span": True, "cl11-centre": True,
     }
 
 
