@@ -346,9 +346,17 @@ def _potential_preset(name: str, grid: fl.Grid, n_components: int) -> fl.EMPoten
 MAX_GRID_SITES = 1 << 22
 
 
+def _parse_values(flag: str, text: str, kind) -> tuple:
+    """A comma-separated flag value; an entry kind() cannot read names the flag."""
+    try:
+        return tuple(kind(x) for x in text.split(","))
+    except ValueError as exc:
+        raise UsageError(f"bad {flag} {text!r}: expected comma-separated {kind.__name__}s") from exc
+
+
 def _parse_extents(text: str) -> tuple:
     """--grid as extents, each refused below 4 points before any arithmetic on it."""
-    extents = tuple(int(x) for x in text.split(","))
+    extents = _parse_values("--grid", text, int)
     if any(n < 4 for n in extents):
         raise UsageError(f"bad --grid {text!r}: each axis needs >= 4 points")
     return extents
@@ -357,7 +365,7 @@ def _parse_extents(text: str) -> tuple:
 def _grid_from_args(args, default_extents) -> fl.Grid:
     extents = _parse_extents(args.grid) if args.grid else default_extents
     if args.spacing:
-        spacing = tuple(float(x) for x in args.spacing.split(","))
+        spacing = _parse_values("--spacing", args.spacing, float)
         if len(spacing) == 1:
             spacing = spacing * len(extents)
     else:
@@ -483,7 +491,7 @@ def _dirac_kg(args, report: Report, tols: dict, rng) -> None:
     grid = _grid_from_args(args, (128,))
     mass = args.mass
     k = grid.wavenumber(0, 1)
-    energy = np.sqrt(k**2 + mass**2)
+    energy = np.hypot(k, mass)
     x = grid.axis_coords(0)
     phi0 = fl.ScalarField(grid, np.exp(1j * k * x))
     phidot0 = fl.ScalarField(grid, -1j * energy * np.exp(1j * k * x))

@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .ga import Signature
-from .numerics import HBAR, _step_grid, _well_conditioned, rk4_linear
+from .numerics import HBAR, TOLERANCE, _step_grid, _well_conditioned, rk4_linear, within
 from .spinor import (
     ClosureError,
     GammaSet,
@@ -110,7 +110,7 @@ class ScalarField:
         vals = np.asarray(self.values, dtype=complex)
         if vals.shape != self.grid.extents:
             raise ValueError(f"values shape {vals.shape} != grid extents {self.grid.extents}")
-        if not (np.all(np.isfinite(vals.real)) and np.all(np.isfinite(vals.imag))):
+        if not np.isfinite(vals).all():
             raise ValueError("non-finite entries in scalar field")
         object.__setattr__(self, "values", vals)
 
@@ -132,7 +132,7 @@ class SpinorField:
             raise ValueError(
                 f"component shape {comp.shape} does not match grid extents {self.grid.extents}"
             )
-        if not (np.all(np.isfinite(comp.real)) and np.all(np.isfinite(comp.imag))):
+        if not np.isfinite(comp).all():
             raise ValueError("non-finite entries in spinor field")
         object.__setattr__(self, "components", comp)
 
@@ -191,8 +191,10 @@ class AffineConnection:
         arr = np.asarray(self.coeffs, dtype=float)
         if arr.ndim != 3 or len(set(arr.shape)) != 1:
             raise ValueError(f"connection coefficients must be (d,d,d), got {arr.shape}")
-        if np.max(np.abs(arr - arr.transpose(0, 2, 1))) > 1e-12:
-            raise ValueError("connection coefficients not symmetric in (mu, nu)")
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, and the rule refuses NaN
+            residual = np.max(np.abs(arr - arr.transpose(0, 2, 1)))
+        if not within(residual, np.max(np.abs(arr))):
+            raise ValueError("connection coefficients not finite and symmetric in (mu, nu)")
         object.__setattr__(self, "coeffs", arr)
 
     @classmethod
@@ -211,6 +213,12 @@ class FieldGammaSet:
     spacetime_dim: int
     eta: tuple
     gammas: list = field(repr=False)
+
+    def __post_init__(self):
+        with np.errstate(invalid="ignore"):  # a non-finite gamma has a scale the rule refuses
+            residual = max(self.anticommutator_residual(), self.hermiticity_residual())
+        if not within(residual, np.max(np.abs(self.gammas)) ** 2):
+            raise ClosureError("constructed gamma set failed its defining relations")
 
     @property
     def spinor_dim(self) -> int:
@@ -235,12 +243,9 @@ class FieldGammaSet:
         return anticommutator_residual(gamma_products(self.gammas), self.eta)
 
     def hermiticity_residual(self) -> float:
-        """gamma0 and gamma0 @ gamma^mu must all be Hermitian."""
-        worst = 0.0
-        for m in self.gamma0_products:
-            worst = max(worst, float(np.max(np.abs(m - m.conj().T))))
-        worst = max(worst, float(np.max(np.abs(self.gamma0 - self.gamma0.conj().T))))
-        return worst
+        """max|M - M^dagger| over gamma0 gamma^mu and max|gamma| gamma0, each quadratic in gamma."""
+        mats = np.array(self.gamma0_products + [np.max(np.abs(self.gammas)) * self.gamma0])
+        return float(np.max(np.abs(mats - mats.conj().swapaxes(-1, -2))))
 
 
 def minkowski_gamma_set(spacetime_dim: int) -> FieldGammaSet:
@@ -249,7 +254,7 @@ def minkowski_gamma_set(spacetime_dim: int) -> FieldGammaSet:
     1+1: the Cl(1,1) matrices, read as floats, realize diag(+1,-1).
     3+1: the Cl(3,1) matrices (metric diag(+,+,+,-)) are multiplied by i and
     reordered so the timelike direction comes first, which flips every
-    square and lands on diag(+1,-1,-1,-1).  A failed gate raises ClosureError.
+    square and lands on diag(+1,-1,-1,-1).  FieldGammaSet gates the result.
     """
     if spacetime_dim not in (2, 4):
         raise ValueError(f"spacetime_dim must be 2 or 4, got {spacetime_dim}")
@@ -259,10 +264,7 @@ def minkowski_gamma_set(spacetime_dim: int) -> FieldGammaSet:
         gammas, eta = [g.astype(complex) for g in base], (1, -1)
     else:
         gammas, eta = [1j * base[3]] + [1j * g for g in base[:3]], (1, -1, -1, -1)
-    out = FieldGammaSet(spacetime_dim, eta, gammas)
-    if out.anticommutator_residual() > 1e-12 or out.hermiticity_residual() > 1e-12:
-        raise ClosureError("constructed gamma set failed its defining relations")
-    return out
+    return FieldGammaSet(spacetime_dim, eta, gammas)
 
 
 # ---------------------------------------------------------------------------
@@ -581,9 +583,6 @@ def dirac_hamiltonian(
 # Fourier modes stepped per batch of _evolve_modes; bounds its transient memory
 MODE_BLOCK = 4096
 
-# (H(k) - c I)^2 = omega^2 I must hold to this fraction of max|H|^2
-_QUADRATIC_TOL = 1e-12
-
 # below this |omega step|, (lam_+^N - lam_-^N)/(2 omega) is replaced by its limit
 _OMEGA_STEP_FLOOR = 1e-8
 
@@ -630,8 +629,8 @@ def _evolve_modes(apply_h, comp: np.ndarray, grid: Grid, t: float, dt: float) ->
     formed.  omega^2 is read as (H'^2)_00 = (alpha - s)(alpha + s), with
     alpha = H'_00 and s^2 = -sum_{j>0} H'_0j H'_j0, which does not cancel
     where |alpha| and |s| far exceed omega.  The test H'^2 = omega^2 I is
-    made on the read symbol, relative to max|H|^2, and a failing mode raises
-    ValueError: no operator built here fails it unless its symbol overflows
+    numerics.within relative to max|H|^2, which must be finite; a failing
+    mode raises ValueError: no operator built here fails unless it overflows
     (Dirac: H'^2 = (|p|^2 + m^2) I; Klein-Gordon: H^2 = (m^2 + 2 m w) I).
     """
     steps, step = _step_grid(0.0, t, dt)
@@ -640,7 +639,10 @@ def _evolve_modes(apply_h, comp: np.ndarray, grid: Grid, t: float, dt: float) ->
     m = comp.shape[0]
     axes = tuple(range(1, grid.dims + 1))
     columns = _mode_symbol(apply_h, m, grid).reshape(m, m, -1)
-    bound = _QUADRATIC_TOL * np.max(np.abs(columns)) ** 2
+    refusal = "the mode symbol has no two eigenvalues c +- omega: "
+    scale = np.max(np.abs(columns)) ** 2
+    if not np.isfinite(scale):
+        raise ValueError(f"{refusal}max|H|^2 = {scale:.3g} is non-finite")
     modes = np.fft.fftn(comp, axes=axes).reshape(m, -1)
     eye = np.eye(m)
     tau = -1j * step / HBAR
@@ -653,10 +655,10 @@ def _evolve_modes(apply_h, comp: np.ndarray, grid: Grid, t: float, dt: float) ->
         omega_sq = (alpha - s) * (alpha + s)
         defect = h_prime @ h_prime - omega_sq[:, None, None] * eye
         worst = np.max(np.abs(defect))
-        if not worst <= bound:
+        if not within(worst, scale):
             raise ValueError(
-                f"the mode symbol has no two eigenvalues c +- omega: |H'^2 - omega^2 I| = "
-                f"{worst:.3g} exceeds {_QUADRATIC_TOL:g} max|H|^2 = {bound:.3g}"
+                f"{refusal}|H'^2 - omega^2 I| = {worst:.3g} exceeds "
+                f"{TOLERANCE:g} max|H|^2 = {TOLERANCE * scale:.3g}"
             )
         omega = np.sqrt(omega_sq)
         z_c = tau * center

@@ -39,6 +39,7 @@ from numbers import Rational, Real
 import numpy as np
 
 from . import exact
+from .numerics import within
 
 FLOAT_PRUNE = 1e-15
 
@@ -161,7 +162,7 @@ class Metric:
         gf = np.array(g, dtype=float)
         if not np.isfinite(gf).all():
             raise MetricError("gram matrix has a non-finite entry")
-        if np.max(np.abs(gf - gf.T)) > 1e-12 * np.max(np.abs(gf)):
+        if not within(np.max(np.abs(gf - gf.T)), np.max(np.abs(gf))):
             raise MetricError("gram matrix is not symmetric (residual > 1e-12 max |g_ij|)")
         object.__setattr__(self, "gram", g)
         if self.exact:
@@ -171,8 +172,8 @@ class Metric:
             # conditioned as the gram; elimination can blow up on a small pivot
             eigvals, vecs = np.linalg.eigh((gf + gf.T) / 2)
             size = np.abs(eigvals)
-            # scale-free: judged by the condition number, not by |det|
-            if not np.isfinite(eigvals).all() or size.min() <= 1e-12 * size.max():
+            # the rule passes a degenerate gram, so a NaN or inf eigenvalue needs its own test
+            if within(size.min(), size.max()) or not np.isfinite(size.max()):
                 raise MetricError("gram matrix is degenerate (min |eigenvalue| <= 1e-12 max)")
             frame = (vecs, vecs.T, tuple(eigvals.tolist()))
         object.__setattr__(self, "frame", frame)

@@ -1,10 +1,12 @@
-"""Float numerics shared by the two dynamics layers: one RK4 scheme and one conditioning gate.
+"""Float numerics of every layer: one rule for float gates, one RK4 scheme, one conditioning gate.
 
+Every float gate decides by within(residual, scale); a time window takes
+the signed distance of t outside its range at scale max(|t_start|, |t_end|).
 Evolution transport (``transport.evolve``) and the lattice fields
 (``fields``) both step i hbar dy/dt = H(t) y with the classical RK4 scheme
 here, on the step grid of _step_grid, and both refuse a matrix that
 _well_conditioned flags.  hbar = 1 throughout (HBAR).  This module imports
-nothing from clifbundle, so neither dynamics layer imports the other.
+nothing from clifbundle.
 """
 
 from __future__ import annotations
@@ -13,6 +15,17 @@ import numpy as np
 
 # natural units in every dynamics module, named so the convention is greppable
 HBAR = 1.0
+
+TOLERANCE = 1e-12
+
+
+def within(residual, scale):
+    """residual <= 1e-12 scale, elementwise; false wherever either is NaN or infinite."""
+    # two floats take float comparisons alone, which keeps a scalar gate cheap
+    if isinstance(residual, float) and isinstance(scale, float):
+        return -np.inf < residual <= TOLERANCE * scale < np.inf
+    residual, scale = np.asarray(residual), np.asarray(scale)
+    return np.isfinite(residual) & np.isfinite(scale) & (residual <= TOLERANCE * scale)
 
 
 def _well_conditioned(m: np.ndarray) -> np.ndarray:

@@ -634,6 +634,30 @@ def test_dirac_spacing_outside_zero_to_infinity_is_refused_before_any_arithmetic
     assert len(recwarn) == 0
 
 
+@pytest.mark.parametrize(
+    "scenario, flag, value, kind",
+    [
+        ("dispersion", "--grid", "4,x", "int"),
+        ("dalembert", "--grid", "8,", "int"),
+        ("kg-roundtrip", "--spacing", "abc", "float"),
+    ],
+)
+def test_dirac_unparsable_grid_or_spacing_names_its_flag(scenario, flag, value, kind, capsys):
+    # the bare int() and float() messages used to name neither flag
+    assert main(["dirac", "--scenario", scenario, flag, value]) == 2
+    expected = f"error: bad {flag} {value!r}: expected comma-separated {kind}s"
+    assert capsys.readouterr().err.splitlines() == [expected]
+
+
+@pytest.mark.parametrize("scenario", ["dispersion", "kg-roundtrip"])
+def test_dirac_overflowing_mode_symbol_is_refused_as_non_finite(scenario, capsys):
+    # kg-roundtrip used to exit 3 with an OverflowError from its energy, and
+    # dispersion to report the NaN of the quadratic test without its cause
+    assert main(["dirac", "--scenario", scenario, "--spacing", "1e-300"]) == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("error: the mode symbol has no two eigenvalues") and "non-finite" in last
+
+
 def test_dirac_dispersion_with_an_overflowing_symbol_is_refused_at_once():
     # spacing 1e-300: dt = spacing / 8 gives 8e300 steps, and the symbol overflows.
     # The per-mode path used to fall back to the step loop and run all of them.

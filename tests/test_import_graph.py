@@ -5,15 +5,16 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "clifbundle"
 
-# module -> the clifbundle modules it imports; the two dynamics layers,
-# transport and fields, share numerics and neither imports the other
+# module -> the clifbundle modules it imports; every float gate reads the
+# rule of numerics, and the two dynamics layers, transport and fields,
+# share its stepper and neither imports the other
 IMPORTS = {
     "__init__": {"_version", "ga", "numerics", "spinor", "transport", "fields"},
     "_version": set(),
     "exact": set(),
-    "ga": {"exact"},
+    "ga": {"exact", "numerics"},
     "report": {"_version"},
-    "spinor": {"exact", "ga", "report"},
+    "spinor": {"exact", "ga", "numerics", "report"},
     "numerics": set(),
     "transport": {"numerics"},
     "fields": {"ga", "spinor", "numerics"},

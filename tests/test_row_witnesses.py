@@ -7,10 +7,13 @@ command, and asserts exit 1 with exactly the rows expected to fail.
 
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from clifbundle import cli
+from clifbundle import ga
 from clifbundle import spinor as sp
 from clifbundle import transport as tr
 from clifbundle.cli import main
@@ -106,3 +109,47 @@ def test_centre_rows_witness_a_wrong_type_table_entry(tmp_path, monkeypatch, ind
     assert main(["verify", "--out", str(tmp_path)]) == 1
     report = json.loads((tmp_path / "verify_report.json").read_text())
     assert {c["name"] for c in report["checks"] if c["status"] == "fail"} == {failing}
+
+
+def _product_with_sign_rule(parity):
+    """ga.clifford with its reordering sign read from `parity` in place of _suffix_parity."""
+    def product(a, b, metric):
+        with mock.patch.object(ga, "_suffix_parity", parity):
+            return ga.clifford(a, b, metric)
+    return product
+
+
+def _parity_of_the_top_bit(a):
+    # right for a basis vector; a blade of two or more factors counts its highest one alone
+    return (1 << (a.bit_length() - 1)) - 1 if a else 0
+
+
+def _blades_without_the_scalar(n, grade=None):
+    return [m for m in ga.basis_blades(n, grade) if m]
+
+
+_SIGNATURES = [f"cl{p}{q}" for p, q in sp.REFERENCE_SIGNATURES]
+
+
+# the kernel rows of verify read cli's own bindings of clifford and
+# basis_blades, so a defect there leaves the classification rows, which
+# build the spinor representation through spinor's binding, untouched
+@pytest.mark.parametrize(
+    "name, defect, failing",
+    [
+        # without the sign the product commutes, and stays associative
+        ("clifford", _product_with_sign_rule(lambda a: 0),
+         {f"{tag}-defining-relations" for tag in _SIGNATURES if tag != "cl01"}),
+        # basis vectors keep their sign, so e_i e_j + e_j e_i = 2 g_ij still holds
+        ("clifford", _product_with_sign_rule(_parity_of_the_top_bit),
+         {"cl13-associativity", "cl31-associativity"}),
+        ("basis_blades", _blades_without_the_scalar,
+         {f"{tag}-dimension-counts" for tag in _SIGNATURES}),
+    ],
+    ids=["no-sign", "sign-of-the-top-bit", "no-scalar-blade"],
+)
+def test_verify_kernel_rows_witness_their_defect(tmp_path, monkeypatch, name, defect, failing):
+    monkeypatch.setattr(cli, name, defect)
+    assert main(["verify", "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    assert {c["name"] for c in report["checks"] if c["status"] == "fail"} == failing

@@ -529,6 +529,12 @@ def test_propagate_leaves_the_pairwise_cache_alone(qubit_transport):
     assert list(qubit_transport._cache) == [(1.0, 0.0)]
 
 
+def test_the_pairwise_cache_is_not_a_constructor_argument(qubit_transport):
+    t = qubit_transport
+    with pytest.raises(TypeError):
+        Transport(t.path, t.trivialization, t.hamiltonian, t.dt, {(1.0, 0.0): np.eye(2)})
+
+
 def test_propagate_checks_times(qubit_transport):
     with pytest.raises(ValueError):
         qubit_transport.propagate([0.5, 1.5], 0.0)
