@@ -342,7 +342,9 @@ def _potential_preset(name: str, grid: fl.Grid, n_components: int) -> fl.EMPoten
 # potential peaks at 9.9 field arrays under tracemalloc: the state, the stage
 # input and three RK4 stages, the prepared operator's three-axis difference
 # scratch and its matmul output, and its coupling arrays (19.8 MiB on 32^3,
-# where the field takes 2 MiB; 158 MiB on 64^3)
+# where the field takes 2 MiB; 158 MiB on 64^3).  dalembert's finest level
+# peaks at 7.5 complex scalar fields, 120 bytes a site: the four second
+# derivatives and about four more, with no (V, m, m) stack (7.5 MiB on 256^2)
 MAX_GRID_SITES = 1 << 22
 
 

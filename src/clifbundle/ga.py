@@ -162,7 +162,9 @@ class Metric:
         gf = np.array(g, dtype=float)
         if not np.isfinite(gf).all():
             raise MetricError("gram matrix has a non-finite entry")
-        if not within(np.max(np.abs(gf - gf.T)), np.max(np.abs(gf))):
+        # halved, no sum below overflows; the gates are scale-free, so the halves decide alike
+        half = gf / 2
+        if not within(np.max(np.abs(half - half.T)), np.max(np.abs(half))):
             raise MetricError("gram matrix is not symmetric (residual > 1e-12 max |g_ij|)")
         object.__setattr__(self, "gram", g)
         if self.exact:
@@ -170,10 +172,11 @@ class Metric:
         else:
             # an orthonormal eigenbasis keeps the float frame as well
             # conditioned as the gram; elimination can blow up on a small pivot
-            eigvals, vecs = np.linalg.eigh((gf + gf.T) / 2)
+            eigvals, vecs = np.linalg.eigh(half + half.T)
             size = np.abs(eigvals)
-            # the rule passes a degenerate gram, so a NaN or inf eigenvalue needs its own test
-            if within(size.min(), size.max()) or not np.isfinite(size.max()):
+            if not np.isfinite(size).all():
+                raise MetricError("gram matrix has an eigenvalue beyond the float range")
+            if within(size.min(), size.max()):
                 raise MetricError("gram matrix is degenerate (min |eigenvalue| <= 1e-12 max)")
             frame = (vecs, vecs.T, tuple(eigvals.tolist()))
         object.__setattr__(self, "frame", frame)

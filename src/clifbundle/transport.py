@@ -80,6 +80,9 @@ def _interpolate(times: np.ndarray, values: np.ndarray, t, points: int) -> np.nd
 
 
 def _check_increasing(times: np.ndarray, what: str) -> None:
+    # an infinite end would pass the order test and then refuse every time
+    if not np.isfinite(times).all():
+        raise ValueError(f"{what} times must be finite")
     if not np.all(np.diff(times) > 0):
         raise ValueError(f"{what} times must be strictly increasing")
 

@@ -447,6 +447,17 @@ def test_transport_non_finite_hamiltonian_is_config_error(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_transport_infinite_path_time_is_config_error(tmp_path, capsys):
+    # json reads 1e309 as inf; the path used to build, and then refused every
+    # time as outside [0.0, inf] with exit 2 on the wrong cause
+    text = json.dumps(qubit_scenario_dict()).replace('"t": 1.0', '"t": 1e309')
+    assert "1e309" in text
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    assert main(["transport", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: path times must be finite"]
+
+
 @pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -1e-3])
 def test_transport_dt_that_is_not_positive_and_finite_is_config_error(tmp_path, capsys, dt):
     # NaN used to escape as a float-to-integer error, and infinity ran one step
@@ -656,6 +667,17 @@ def test_dirac_overflowing_mode_symbol_is_refused_as_non_finite(scenario, capsys
     assert main(["dirac", "--scenario", scenario, "--spacing", "1e-300"]) == 2
     last = capsys.readouterr().err.splitlines()[-1]
     assert last.startswith("error: the mode symbol has no two eigenvalues") and "non-finite" in last
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scenario", ["dispersion", "kg-roundtrip"])
+def test_dirac_huge_mass_is_refused_with_no_numpy_warning(scenario, capsys):
+    # max|H|^2 overflowed with a RuntimeWarning on stderr before the error line
+    assert main(["dirac", "--scenario", scenario, "--mass", "1e300"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: the mode symbol has no two eigenvalues c +- omega: "
+        "max|H|^2 = inf is non-finite"
+    ]
 
 
 def test_dirac_dispersion_with_an_overflowing_symbol_is_refused_at_once():

@@ -39,7 +39,7 @@ from clifbundle.fields import (
     wrapped_momentum,
 )
 from clifbundle.ga import Signature
-from clifbundle.numerics import rk4_linear
+from clifbundle.numerics import rk4_linear, within
 from clifbundle.spinor import gamma_set_for_signature
 
 L = 2 * np.pi
@@ -273,6 +273,105 @@ def test_dalembert_with_constant_symmetric_connection(g2):
     # symmetric second covariant derivative: still no grade-2 content
     assert res.scalar_residual <= 1e-12
     assert res.grade2_max <= 1e-10
+
+
+def stacked_dalembert(phi, conn, gset):
+    """The (V, m, m) form that dalembert_identity replaced, kept as its oracle."""
+    grid = phi.grid
+    d = grid.dims
+    w = [central_diff(phi.values, mu, grid.spacing[mu]) for mu in range(d)]
+    c = np.empty((d, d), dtype=object)
+    for mu in range(d):
+        for nu in range(d):
+            if mu == nu:
+                second = second_diff(phi.values, mu, grid.spacing[mu])
+            else:
+                second = central_diff(w[nu], mu, grid.spacing[mu])
+            for alpha in range(d):
+                gamma_coef = conn.coeffs[alpha, mu, nu]
+                if gamma_coef:
+                    second = second - gamma_coef * w[alpha]
+            c[mu, nu] = second
+    m = gset.spinor_dim
+    lhs = np.zeros(grid.extents + (m, m), dtype=complex)
+    for mu in range(d):
+        for nu in range(d):
+            lhs += np.multiply.outer(c[mu, nu], gset.gamma(mu) @ gset.gamma(nu))
+    lhs_scalar = np.trace(lhs, axis1=-2, axis2=-1) / m
+    rhs = sum(gset.eta[mu] * c[mu, mu] for mu in range(d))
+    grade2 = lhs - np.multiply.outer(lhs_scalar, np.eye(m))
+    return lhs_scalar, rhs, float(np.max(np.abs(lhs_scalar - rhs))), float(np.max(np.abs(grade2)))
+
+
+def symmetric_connection_2d():
+    coeffs = np.zeros((2, 2, 2))
+    coeffs[0, 0, 1] = coeffs[0, 1, 0] = 0.3
+    coeffs[1, 1, 1] = -0.2
+    return AffineConnection(coeffs)
+
+
+def random_connection(d, seed):
+    coeffs = np.random.default_rng(seed).normal(size=(d, d, d))
+    return AffineConnection(coeffs + coeffs.transpose(0, 2, 1))
+
+
+def dalembert_case(case):
+    if case == "4d":
+        grid = Grid((4, 6, 4, 5), tuple(L / n for n in (4, 6, 4, 5)))
+        rng = np.random.default_rng(11)
+        values = rng.normal(size=grid.extents) + 1j * rng.normal(size=grid.extents)
+        return ScalarField(grid, values), random_connection(4, 12), minkowski_gamma_set(4)
+    grid = Grid((16, 32), (L / 16, np.pi / 32)) if case == "flat" else spacetime_grid(32)
+    phi = ScalarField.plane_wave(grid, (grid.wavenumber(0, 1), grid.wavenumber(1, 2)))
+    conn = AffineConnection.flat(2) if case == "flat" else symmetric_connection_2d()
+    return phi, conn, minkowski_gamma_set(2)
+
+
+@pytest.mark.parametrize("case", ["flat", "symmetric-connection"])
+def test_dalembert_matches_the_stacked_form_bit_for_bit(case):
+    phi, conn, gset = dalembert_case(case)
+    lhs_scalar, rhs, scalar_residual, grade2_max = stacked_dalembert(phi, conn, gset)
+    res = dalembert_identity(phi, conn, gset)
+    assert res.lhs_scalar.tobytes() == lhs_scalar.tobytes()
+    assert res.rhs.tobytes() == rhs.tobytes()
+    assert (res.scalar_residual, res.grade2_max) == (scalar_residual, grade2_max)
+    # roundoff leaves a grade-2 part in every case, so equal maxima are not two zeros
+    assert grade2_max > 0
+
+
+def test_dalembert_matches_the_stacked_form_to_roundoff_in_4d():
+    # the diagonal may be summed in another order than np.trace's, so only
+    # the last bits of the scalar part may differ
+    phi, conn, gset = dalembert_case("4d")
+    lhs_scalar, rhs, scalar_residual, grade2_max = stacked_dalembert(phi, conn, gset)
+    res = dalembert_identity(phi, conn, gset)
+    scale = np.max(np.abs(lhs_scalar))
+    assert within(np.max(np.abs(res.lhs_scalar - lhs_scalar)), scale)
+    assert res.rhs.tobytes() == rhs.tobytes()
+    assert within(abs(res.scalar_residual - scalar_residual), scale)
+    assert within(abs(res.grade2_max - grade2_max), scale)
+
+
+def test_dalembert_peak_memory_holds_no_matrix_stack(g2):
+    grid = Grid((256, 256), (L / 256, np.pi / 256))
+    phi = ScalarField.plane_wave(grid, (grid.wavenumber(0, 1), grid.wavenumber(1, 1)))
+    conn = AffineConnection.flat(2)
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run(phi, conn, g2)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # The per-entry form holds the d^2 = 4 fields c and about four more, and
+    # measures 7.5 fields; the stack alone is m^2 = 4 fields, and with its
+    # temporaries the stacked form measures 20.  The bound of d^2 + m^2 + 4
+    # fields lies between the two, clear of numpy's scratch arrays.
+    bound = 12 * phi.values.nbytes
+    assert peak(stacked_dalembert) > bound
+    assert peak(dalembert_identity) <= bound
 
 
 def test_connection_symmetry_validated():

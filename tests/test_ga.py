@@ -409,6 +409,30 @@ def test_metric_rejects_asymmetric_and_degenerate():
         Metric.from_gram([[1.0, 1.0], [1.0, 1.0]])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_gram_near_the_float_maximum_overflows_no_sum():
+    # (g + g^T) / 2 overflowed on these entries and the gram was refused as degenerate
+    big = Metric.from_gram([[1e308, 0.0], [0.0, 1e308]])
+    assert big.frame[2] == (1e308, 1e308)
+    with pytest.raises(MetricError, match="eigenvalue beyond the float range"):
+        Metric.from_gram([[1e308, 9e307], [9e307, 1e308]])
+    # g - g^T overflowed too
+    with pytest.raises(MetricError, match="not symmetric"):
+        Metric.from_gram([[1.0, 1e308], [-1e308, 1.0]])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_halved_gram_gives_the_same_float_frame(seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(4, 4)) * 10.0 ** rng.integers(-100, 100)
+    g = a + a.T
+    g[0, 1] += 1e-14 * g[0, 1]
+    eigvals, vecs = np.linalg.eigh((g + g.T) / 2)
+    metric = Metric.from_gram(g)
+    assert metric.frame[0].tobytes() == vecs.tobytes()
+    assert metric.frame[2] == tuple(eigvals.tolist())
+
+
 def test_exact_metric_nondegeneracy_is_scale_free():
     # exact grams are judged by the pivots of their orthogonal frame, so a
     # small scale is not mistaken for degeneracy

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from clifbundle import cli
+from clifbundle import fields as fl
 from clifbundle import ga
 from clifbundle import spinor as sp
 from clifbundle import transport as tr
@@ -20,6 +21,7 @@ from clifbundle.cli import main
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 _rk4_step, _step_grid, _power_increment = tr.rk4_step, tr._step_grid, tr._power_increment
+_minkowski_gamma_set, _covariant_hessian = fl.minkowski_gamma_set, fl._covariant_hessian
 
 
 def _rk4_with_minus_h(apply_h, y, time, step):
@@ -152,4 +154,55 @@ def test_verify_kernel_rows_witness_their_defect(tmp_path, monkeypatch, name, de
     monkeypatch.setattr(cli, name, defect)
     assert main(["verify", "--out", str(tmp_path)]) == 1
     report = json.loads((tmp_path / "verify_report.json").read_text())
+    assert {c["name"] for c in report["checks"] if c["status"] == "fail"} == failing
+
+
+def _unchecked_gamma_set(eta, gammas):
+    """A FieldGammaSet built without the gate on its defining relations."""
+    gset = object.__new__(fl.FieldGammaSet)
+    for name, value in (("spacetime_dim", len(eta)), ("eta", tuple(eta)), ("gammas", gammas)):
+        object.__setattr__(gset, name, value)
+    return gset
+
+
+def _gamma_set_with_eta_dropped(dim):
+    # the right side then reads d_t^2 + d_x^2 where the gammas give d_t^2 - d_x^2
+    return _unchecked_gamma_set((1,) * dim, _minkowski_gamma_set(dim).gammas)
+
+
+def _gamma_set_with_the_last_gamma_times_i(dim):
+    # (i gamma^1)^2 = +1: the gamma products the left side reads lose the minus sign
+    gset = _minkowski_gamma_set(dim)
+    return _unchecked_gamma_set(gset.eta, gset.gammas[:-1] + [1j * gset.gammas[-1]])
+
+
+def _hessian_with_a_forward_mixed_difference(phi, conn):
+    """c[0, 1] from forward differences, first-order; c[1, 0] keeps the central ones."""
+    c = _covariant_hessian(phi, conn)
+    (ht, hx), f = phi.grid.spacing, phi.values
+    dx = (np.roll(f, -1, axis=1) - f) / hx
+    c[0, 1] = (np.roll(dx, -1, axis=0) - dx) / ht
+    return c
+
+
+# the dalembert rows read the per-entry sum of c_mu_nu gamma^mu gamma^nu
+# (scalar-parts-agree against eta^mu_nu c_mu_nu, grade2-vanishes alone) and
+# the convergence rows its scalar part against the analytic d'Alembertian
+@pytest.mark.parametrize(
+    "name, defect, failing",
+    [
+        ("minkowski_gamma_set", _gamma_set_with_eta_dropped, {"scalar-parts-agree"}),
+        ("minkowski_gamma_set", _gamma_set_with_the_last_gamma_times_i,
+         {"scalar-parts-agree", "convergence-factor-level0"}),
+        # the scalar part reads only the symmetric part of c, to roundoff
+        ("_covariant_hessian", _hessian_with_a_forward_mixed_difference, {"grade2-vanishes"}),
+    ],
+    ids=["eta-dropped", "gamma-times-i", "forward-mixed-difference"],
+)
+def test_dalembert_rows_witness_their_defect(tmp_path, monkeypatch, name, defect, failing):
+    argv = ["dirac", "--scenario", "dalembert", "--grid", "8,8", "--refine", "1", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    monkeypatch.setattr(fl, name, defect)
+    assert main(argv) == 1
+    report = json.loads((tmp_path / "dirac_report.json").read_text())
     assert {c["name"] for c in report["checks"] if c["status"] == "fail"} == failing

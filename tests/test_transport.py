@@ -363,6 +363,26 @@ def test_path_validation():
         path.check_time(1.5)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize(
+    "what, build",
+    [
+        ("path", lambda ts: Path(ts, ts)),
+        ("lifting", lambda ts: Lifting(ts, np.zeros((len(ts), 2)))),
+        ("tabulated hamiltonian",
+         lambda ts: HamiltonianSpec.tabulated(ts, [QUBIT_H] * len(ts), 0.0, 1.0)),
+    ],
+)
+def test_a_non_finite_time_is_refused_by_name(what, build, bad):
+    # an infinite end passed the order test, and every time was then refused
+    # as outside a range [0, inf]
+    times = np.array([0.0, 0.5, 1.0, 2.0])
+    times[-1 if bad > 0 else 0] = bad
+    with pytest.raises(ValueError, match=f"^{what} times must be finite$"):
+        build(times)
+
+
 def test_path_points_are_n_or_n_by_d():
     # a (1, 2) array is one 2-D point, not two 1-D points: no silent transpose
     with pytest.raises(ValueError, match="shape"):
