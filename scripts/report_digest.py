@@ -50,10 +50,13 @@ RUNS = [
     ["dirac", "--scenario", "dispersion", "--grid", "8,8,8"],
     ["dirac", "--scenario", "dispersion", "--grid", "256",
      "--potential", "plane-wave-gauge", "--charge", "0.5"],
+    # 8 sites, fewer than the stencil's 9 offsets: the ring stencil's aliased offsets
+    ["dirac", "--scenario", "dispersion", "--grid", "8",
+     "--potential", "constant-E", "--charge", "0.5"],
     # a site-dependent coupling on three axes: the step loop's stacked derivative matmul
     ["dirac", "--scenario", "dispersion", "--grid", "8,8,8",
      "--potential", "plane-wave-gauge", "--charge", "0.5"],
-    # A_0 alone varies by site: the step loop with no axis coupling
+    # A_0 alone varies by site: the ring stencil of an operator with no axis coupling
     ["dirac", "--scenario", "dispersion", "--potential", "constant-E", "--charge", "0.5"],
     # massless: the k = 0 mode has omega = 0 and takes the limit of the closed form
     ["dirac", "--scenario", "dispersion", "--mass", "0"],

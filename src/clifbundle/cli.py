@@ -339,10 +339,14 @@ def _potential_preset(name: str, grid: fl.Grid, n_components: int) -> fl.EMPoten
 
 # largest grid the dirac scenarios accept; a 4-spinor complex field on
 # 2^22 sites takes 256 MiB.  The step loop (rk4_linear) over a site-dependent
-# potential peaks at 9.9 field arrays under tracemalloc: the state, the stage
-# input and three RK4 stages, the prepared operator's three-axis difference
-# scratch and its matmul output, and its coupling arrays (19.8 MiB on 32^3,
-# where the field takes 2 MiB; 158 MiB on 64^3).  dalembert's finest level
+# potential on three axes peaks at 9.9 field arrays under tracemalloc, 634 B
+# a site: the state, the stage input and three RK4 stages, the prepared
+# operator's three-axis difference scratch and its matmul output, and its
+# coupling arrays (19.8 MiB on 32^3, where the field takes 2 MiB; 158 MiB on
+# 64^3).  On one axis the ring stencil steps instead: its coefficients are 18
+# fields of a 2-spinor, and reading them takes one more probe step, a peak of
+# 28.5 fields, 910 B a site (3.6 GiB on 2^22 sites, 1.2 GiB before the
+# stencil; the steps that follow hold about 24 fields).  dalembert's finest level
 # peaks at 7.5 complex scalar fields, 120 bytes a site: the four second
 # derivatives and about four more, with no (V, m, m) stack (7.5 MiB on 256^2)
 MAX_GRID_SITES = 1 << 22

@@ -3,13 +3,15 @@
 Fields are complex arrays on uniform periodic grids; spatial derivatives
 are second-order central differences, every one by slice subtraction over
 the one periodic stencil of _periodic_difference_slices.  The Dirac
-Hamiltonian is prepared once per evolution (DiracHamiltonian).  Time
-stepping is the RK4 scheme of numerics, which evolution transport also
-steps: numerics.rk4_linear steps the whole grid, and a Klein-Gordon
+Hamiltonian is prepared once per evolution (DiracHamiltonian), and it is
+time-independent.  Time stepping is the RK4 scheme of numerics, which
+evolution transport also steps, on one of three paths.  A Klein-Gordon
 doublet, or a Dirac field whose coupling e A is the same at every site,
-is stepped one Fourier mode at a time instead (_evolve_modes), by the
-closed form of the mode's N RK4 steps that a symbol with two eigenvalues
-c +- omega admits; a symbol without them is refused.
+is stepped one Fourier mode at a time (_evolve_modes), by the closed form
+of the mode's N RK4 steps that a symbol with two eigenvalues c +- omega
+admits; a symbol without them is refused.  A site-dependent coupling on
+a 1-D grid steps by the 9-point stencil of one RK4 step, read once from
+the operator (_evolve_ring).  On a 3-D grid numerics.rk4_linear steps it.
 The Minkowski gamma sets are the exact algebra-level representations read
 as floats, with no change of basis: the 1+1 case uses the Cl(1,1) matrices
 directly, the 3+1 case multiplies the Cl(3,1) set by i so the metric
@@ -31,9 +33,12 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .ga import Signature
-from .numerics import HBAR, TOLERANCE, _step_grid, _well_conditioned, rk4_linear, within
+from .numerics import (
+    HBAR, TOLERANCE, _step_grid, _well_conditioned, rk4_linear, rk4_step, within,
+)
 from .spinor import (
     ClosureError,
     GammaSet,
@@ -72,6 +77,12 @@ class Grid:
         # NaN fails this test too: it compares false with everything
         if not all(0 < s < math.inf for s in spacing):
             raise GridError(f"spacing must be positive and finite, got {spacing}")
+        # a second difference divides by h^2, which must neither underflow nor overflow
+        tiny = np.finfo(float).tiny
+        if not all(tiny <= s * s < math.inf for s in spacing):
+            raise GridError(
+                f"spacing squared must be a normal float, at least {tiny:.4g}, got {spacing}"
+            )
         object.__setattr__(self, "extents", extents)
         object.__setattr__(self, "spacing", spacing)
 
@@ -584,7 +595,8 @@ class DiracHamiltonian:
     so a call writes psi(x + h_j) - psi(x - h_j) + 2i h_j e A_j psi for each
     axis into one scratch by slice subtraction and applies all axes with one
     matmul.  The scratch lives only until that matmul.  A call takes
-    (time, psi), the right-hand side of rk4_linear and _evolve_modes.
+    (time, psi), the right-hand side of numerics.rk4_step; time is unused,
+    since A does not depend on it, so H_D is time-independent.
     """
 
     def __init__(
@@ -728,6 +740,93 @@ def _evolve_modes(apply_h, comp: np.ndarray, grid: Grid, t: float, dt: float) ->
     return np.fft.ifftn(modes.reshape(comp.shape), axes=axes)
 
 
+# RK4 applies H four times, and H_D reaches one site each way per apply
+_RING_REACH = 4
+
+# sites per block of a ring-stencil step; bounds its product transient
+RING_BLOCK = 512
+
+
+def _ring_colours(n: int) -> int:
+    """Colour count k of the comb probes on a ring of n sites, site x taking colour x mod k.
+
+    Two sites of one colour lie more than 2 reach apart around the ring, so
+    no window of 2 reach + 1 sites holds two of them: k >= 9, and the gap
+    n mod k across the wrap is 0 or at least 9.  Fewer than 9 sites take
+    one colour each.
+    """
+    width = 2 * _RING_REACH + 1
+    return next((k for k in range(width, n) if n % k == 0 or n % k >= width), n)
+
+
+def _ring_pad_index(n: int) -> np.ndarray:
+    """Sites (j - reach) mod n of the padded ring, n + w - 1 of them for w = min(n, 9) offsets."""
+    return (np.arange(n + min(n, 2 * _RING_REACH + 1) - 1) - _RING_REACH) % n
+
+
+def _ring_windows(pad: np.ndarray, n: int) -> np.ndarray:
+    """windows[b, i, y] = pad[b, y + i]: with pad[:, j] = psi[:, (j - reach) mod n], the
+    value psi[b, (y + o_i) mod n] at ring offset o_i = i - reach.  A view, no copy."""
+    return sliding_window_view(pad, n, axis=1)
+
+
+def _ring_stencil(apply_h, m: int, n: int, step: float) -> np.ndarray:
+    """Coefficients c[a, b, i, y] of one RK4 step on a ring of n sites, shape (m, m, w, n).
+
+    The step maps psi to sum_{b, i} c[a, b, i, y] psi[b, (y + i - reach) mod n]
+    over w = min(n, 9) offsets, so offsets of fewer than 9 sites are the n
+    residues mod n and alias correctly.  The coefficients are read from
+    the operator: numerics.rk4_step acts on one comb probe per spinor
+    component b and colour (_ring_colours), a unit impulse in component b
+    at each site of that colour, and its response at site y is the
+    coefficient of the one impulse within reach of y.  m k probe steps in
+    all, 26 on a 256-site ring.
+    """
+    k = _ring_colours(n)
+    # colour of the source site (y + i - reach) mod n of each coefficient
+    source_colour = sliding_window_view(_ring_pad_index(n) % k, n)
+    coeffs = np.empty((m, m) + source_colour.shape, dtype=complex)
+    for b in range(m):
+        for colour in range(k):
+            probe = np.zeros((m, n), dtype=complex)
+            probe[b, colour::k] = 1.0
+            response = rk4_step(apply_h, probe, 0.0, step)
+            np.copyto(coeffs[:, b], response[:, None, :], where=source_colour == colour)
+    return coeffs
+
+
+def _evolve_ring(apply_h, comp: np.ndarray, t: float, dt: float) -> np.ndarray:
+    """rk4_linear(apply_h, comp, 0, t, dt) for a time-independent apply_h on a 1-D ring.
+
+    Every step applies the same RK4 step matrix R = p(-i step H), which
+    couples each site to the sites within reach 4, so R is read once as a
+    stencil (_ring_stencil) and each step is one gather of the periodically
+    padded state plus one contraction, in blocks of RING_BLOCK sites.  On
+    a 2-spinor the coefficients take 18 fields, 576 B a site.  Reading them
+    adds one probe step, a traced peak of about 28 fields on 4096 sites;
+    the steps hold them, the state, its padded copy and one block's
+    product, about 24 fields.  rk4_linear peaks at 9.3.
+    """
+    steps, step = _step_grid(0.0, t, dt)
+    if steps == 0:
+        return np.array(comp, copy=True)
+    m, n = comp.shape
+    coeffs = _ring_stencil(apply_h, m, n, step)
+    y = np.array(comp, copy=True)
+    pad_index = _ring_pad_index(n)
+    pad = np.empty((m, len(pad_index)), dtype=complex)
+    windows = _ring_windows(pad, n)
+    block = min(n, RING_BLOCK)
+    product = np.empty(coeffs.shape[:3] + (block,), dtype=complex)
+    for _ in range(steps):
+        np.take(y, pad_index, axis=1, out=pad)
+        for lo in range(0, n, block):
+            part = product[..., :min(block, n - lo)]
+            np.multiply(coeffs[..., lo:lo + block], windows[..., lo:lo + block], out=part)
+            part.sum(axis=(1, 2), out=y[:, lo:lo + block])
+    return y
+
+
 def dirac_hamiltonian_evolve(
     psi0: SpinorField,
     pot: EMPotential | None,
@@ -739,10 +838,15 @@ def dirac_hamiltonian_evolve(
 ) -> SpinorField:
     """Integrate i d_t psi = H_D psi on a spatial grid up to time t.
 
-    When charge * A is the same at every site, H_D is translation-invariant
-    and the RK4 steps run one Fourier mode at a time (_evolve_modes);
-    otherwise rk4_linear steps the whole grid.  Both take the same steps,
-    and both apply the one DiracHamiltonian prepared here.
+    H_D is time-independent (pot holds one A for all times), so every RK4
+    step applies the same matrix.  When charge * A is the same at every
+    site, H_D is translation-invariant and the steps run one Fourier mode at
+    a time (_evolve_modes).  Otherwise a 1-D grid steps by the stencil of
+    one RK4 step (_evolve_ring), which reaches 9 sites; a 3-D grid keeps
+    rk4_linear, because there the step reaches the 129 sites within 4
+    lattice steps, which costs more arithmetic per site than four applies
+    and about 33 KB a site for a 4-spinor.  All three paths take the steps
+    of _step_grid(0, t, dt) and read the one DiracHamiltonian prepared here.
     """
     grid = psi0.grid
     if grid.dims != gset.spacetime_dim - 1:
@@ -763,6 +867,8 @@ def dirac_hamiltonian_evolve(
     apply_h = DiracHamiltonian(grid, pot, mass, charge, gset)
     if invariant:
         comp = _evolve_modes(apply_h, psi0.components, grid, t, dt)
+    elif grid.dims == 1:
+        comp = _evolve_ring(apply_h, psi0.components, t, dt)
     else:
         comp = rk4_linear(apply_h, psi0.components, 0.0, t, dt)
     return SpinorField(grid, comp)

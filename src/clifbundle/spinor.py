@@ -405,7 +405,7 @@ def _check_antisymmetric(coeffs, n: int, what: str):
     arr = np.asarray(coeffs)
     if arr.shape != (n, n):
         raise ValueError(f"{what} must be an {n}x{n} array, got {arr.shape}")
-    if arr.dtype.kind == "f":
+    if arr.dtype.kind in "fc":
         with np.errstate(invalid="ignore"):  # inf + -inf is NaN, and the rule refuses NaN
             ok = within(np.max(np.abs(arr + arr.T)), np.max(np.abs(arr)))
     else:  # Fractions and integers stay exact

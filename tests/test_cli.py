@@ -661,12 +661,16 @@ def test_dirac_unparsable_grid_or_spacing_names_its_flag(scenario, flag, value, 
 
 
 @pytest.mark.parametrize("scenario", ["dispersion", "kg-roundtrip"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_dirac_overflowing_mode_symbol_is_refused_as_non_finite(scenario, capsys):
     # kg-roundtrip used to exit 3 with an OverflowError from its energy, and
-    # dispersion to report the NaN of the quadratic test without its cause
+    # dispersion to report the NaN of the quadratic test without its cause.
+    # Then both blamed the mode symbol, after three RuntimeWarnings from h^2
+    # underflowing to 0; the grid now refuses the spacing before any arithmetic
     assert main(["dirac", "--scenario", scenario, "--spacing", "1e-300"]) == 2
-    last = capsys.readouterr().err.splitlines()[-1]
-    assert last.startswith("error: the mode symbol has no two eigenvalues") and "non-finite" in last
+    assert capsys.readouterr().err.splitlines() == [
+        "error: spacing squared must be a normal float, at least 2.225e-308, got (1e-300,)"
+    ]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -681,11 +685,12 @@ def test_dirac_huge_mass_is_refused_with_no_numpy_warning(scenario, capsys):
 
 
 def test_dirac_dispersion_with_an_overflowing_symbol_is_refused_at_once():
-    # spacing 1e-300: dt = spacing / 8 gives 8e300 steps, and the symbol overflows.
-    # The per-mode path used to fall back to the step loop and run all of them.
+    # spacing 1e-150: dt = spacing / 8 gives 8e150 steps, and mass 1e300 overflows
+    # the symbol.  The per-mode path used to fall back to the step loop and run
+    # all of them.  (Spacing 1e-300, used here before, is now refused by the grid.)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    argv = ["dirac", "--scenario", "dispersion", "--spacing", "1e-300"]
+    argv = ["dirac", "--scenario", "dispersion", "--spacing", "1e-150", "--mass", "1e300"]
     proc = subprocess.run(
         [sys.executable, "-m", "clifbundle.cli", *argv],
         capture_output=True, text=True, timeout=30, env=env,

@@ -39,7 +39,7 @@ from clifbundle.fields import (
     wrapped_momentum,
 )
 from clifbundle.ga import Signature
-from clifbundle.numerics import rk4_linear, within
+from clifbundle.numerics import rk4_linear, rk4_step, within
 from clifbundle.spinor import gamma_set_for_signature
 
 L = 2 * np.pi
@@ -137,6 +137,17 @@ def test_grid_validation():
     for spacing in (np.inf, np.nan):
         with pytest.raises(GridError, match="positive and finite"):
             Grid((8,), (spacing,))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_spacing_whose_square_is_not_a_normal_float_is_refused():
+    # h^2 underflows to a subnormal or to 0, or overflows to inf
+    for spacing in (1e-300, 1e-160, 1e155):
+        with pytest.raises(GridError, match="spacing squared must be a normal float"):
+            Grid((8, 8), (0.1, spacing))
+    smallest = np.sqrt(np.finfo(float).tiny) * (1 + 1e-15)
+    for spacing in (smallest, 1e154):
+        Grid((8,), (spacing,))
 
 
 def test_grid_volume_does_not_wrap():
@@ -520,12 +531,17 @@ def test_cfl_bound_enforced(g2):
         dirac_hamiltonian_evolve(psi, None, 1.0, 0.0, 1.0, 0.1, g2)
 
 
-def test_cfl_bound_enforced_on_the_step_loop(g2):
-    # a site-dependent coupling takes rk4_linear; no potential (above) takes the per-mode path
+def test_cfl_bound_enforced_on_the_step_loop(g2, g4):
+    # no potential (above) takes the per-mode path; a site-dependent coupling
+    # takes the ring stencil on one axis and rk4_linear on three
     grid = Grid((16,), (0.1,))
     psi = SpinorField(grid, np.ones((2, 16), dtype=complex))
     with pytest.raises(StabilityError):
         dirac_hamiltonian_evolve(psi, one_site_potential(grid, 2), 1.0, 0.5, 1.0, 0.1, g2)
+    grid = Grid((4, 4, 4), (0.1,) * 3)
+    psi = SpinorField(grid, np.ones((4, 4, 4, 4), dtype=complex))
+    with pytest.raises(StabilityError):
+        dirac_hamiltonian_evolve(psi, one_site_potential(grid, 4), 1.0, 0.5, 1.0, 0.1, g4)
 
 
 @pytest.mark.parametrize("case", ["ceil-steps", "backward-roundtrip", "dt-zero", "dt-negative"])
@@ -704,25 +720,111 @@ def fields_loop_calls(monkeypatch):
         ("none", 0.5, 0),
         ("constant", 0.5, 0),
         ("one-site", 0.0, 0),
-        ("one-site", 0.5, 1),
+        # a site-dependent coupling: the ring stencil on one axis, the loop on three
+        ("one-site", 0.5, 0),
+        ("one-site-3d", 0.5, 1),
         ("klein-gordon", 0.0, 0),
     ],
 )
 def test_only_a_site_dependent_coupling_takes_the_step_loop(
-    g2, fields_loop_calls, potential, charge, loop_calls
+    fields_loop_calls, potential, charge, loop_calls
 ):
-    grid = Grid((16,), (L / 16,))
-    psi0 = random_spinor(grid, 2, seed=1)
+    extents = (4, 4, 4) if potential == "one-site-3d" else (16,)
+    grid = Grid(extents, tuple(L / n for n in extents))
+    gset = minkowski_gamma_set(grid.dims + 1)
+    psi0 = random_spinor(grid, gset.spinor_dim, seed=1)
     if potential == "klein-gordon":
         klein_gordon_evolve(psi0, 1.0, 0.01, 1e-3)
     else:
-        pot = {
-            "none": None,
-            "constant": EMPotential(grid, np.full((2, 16), 0.3)),
-            "one-site": one_site_potential(grid, 2),
-        }[potential]
-        dirac_hamiltonian_evolve(psi0, pot, 1.0, charge, 0.01, 1e-3, g2)
+        pot = None
+        if potential == "constant":
+            pot = EMPotential(grid, np.full((2, 16), 0.3))
+        elif potential.startswith("one-site"):
+            pot = one_site_potential(grid, gset.spacetime_dim)
+        dirac_hamiltonian_evolve(psi0, pot, 1.0, charge, 0.01, 1e-3, gset)
     assert len(fields_loop_calls) == loop_calls
+
+
+def ring_potential(grid: Grid, preset: str) -> EMPotential:
+    """The CLI's 1-D presets: a sawtooth A_0, or 0.1 sin(2 pi x / L) in both components."""
+    x = grid.axis_coords(0)
+    a = np.zeros((2,) + grid.extents)
+    if preset == "constant-E":
+        a[0] = -0.5 * (x - grid.length(0) / 2)
+    else:
+        a[:] = 0.1 * np.sin(grid.wavenumber(0, 1) * x)
+    return EMPotential(grid, a)
+
+
+@pytest.mark.parametrize("t", [0.3, -0.3])
+@pytest.mark.parametrize("preset", ["constant-E", "plane-wave-gauge"])
+@pytest.mark.parametrize("n", [4, 5, 8, 9, 10, 17, 18, 64, 256])
+def test_ring_stencil_matches_the_step_loop(g2, fields_loop_calls, n, preset, t):
+    # rings of 4-8 sites alias the offsets -4 ... 4; 9, 10, 17 take one colour a
+    # site, 18 takes 9 colours, 64 takes 11 and 256 takes 13
+    grid = Grid((n,), (L / n,))
+    pot = ring_potential(grid, preset)
+    psi0 = random_spinor(grid, 2, seed=n)
+    dt = min(1e-3, grid.spacing[0] / 8)
+    got = dirac_hamiltonian_evolve(psi0, pot, 1.0, 0.5, t, dt, g2).components
+    assert fields_loop_calls == []
+    ref = rk4_linear(fields.DiracHamiltonian(grid, pot, 1.0, 0.5, g2), psi0.components, 0.0, t, dt)
+    assert within(np.max(np.abs(got - ref)), np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize(
+    "n, colours",
+    [(4, 4), (8, 8), (9, 9), (10, 10), (17, 17), (18, 9), (64, 11), (256, 13), (4096, 16)],
+)
+def test_ring_stencil_reads_one_rk4_step_per_probe(g2, monkeypatch, n, colours):
+    assert fields._ring_colours(n) == colours
+    steps = []
+
+    def counting_rk4_step(*args):
+        steps.append(args)
+        return rk4_step(*args)
+
+    monkeypatch.setattr(fields, "rk4_step", counting_rk4_step)
+    grid = Grid((n,), (L / n,))
+    dt = grid.spacing[0] / 8
+    pot = ring_potential(grid, "constant-E")
+    dirac_hamiltonian_evolve(random_spinor(grid, 2, seed=3), pot, 1.0, 0.5, 3 * dt, dt, g2)
+    # one probe per spinor component and colour, 26 on a 256-site ring
+    assert len(steps) == 2 * colours
+
+
+def test_ring_colours_keep_sites_of_one_colour_more_than_8_apart():
+    for n in list(range(9, 80)) + [256, 1000, 4096]:
+        k = fields._ring_colours(n)
+        sites = np.arange(n)
+        for colour in range(k):
+            same = sites[sites % k == colour]
+            gaps = np.diff(np.append(same, same[0] + n))
+            assert np.min(gaps) > 8, (n, k, colour)
+
+
+def test_ring_stencil_peak_memory_is_bounded_by_its_blocks(g2, monkeypatch):
+    grid = Grid((4096,), (L / 4096,))
+    psi0 = random_spinor(grid, 2, seed=2)
+    pot = ring_potential(grid, "plane-wave-gauge")
+    dt = grid.spacing[0] / 8
+
+    def peak():
+        tracemalloc.start()
+        try:
+            dirac_hamiltonian_evolve(psi0, pot, 1.0, 0.5, 2 * dt, dt, g2)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # The coefficients are 9 m = 18 fields.  The build adds one probe step
+    # (about 8.5 fields), the steps the state, its padded copy and one
+    # block's product, and the peak measures 28.5 fields.  Unblocked, the
+    # product is another 18 fields.  The bound of 9 m + 12 lies between.
+    bound = (9 * 2 + 12) * psi0.components.nbytes
+    assert peak() <= bound
+    monkeypatch.setattr(fields, "RING_BLOCK", grid.volume)
+    assert peak() > bound
 
 
 def test_a_symbol_without_two_eigenvalues_is_refused(fields_loop_calls):

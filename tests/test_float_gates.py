@@ -267,6 +267,23 @@ def test_spinor_antisymmetry_is_relative_to_the_coefficients():
     assert np.all(np.isfinite(out))
 
 
+@no_warnings
+def test_complex_spinor_coefficients_take_the_float_rule():
+    # one part in 1e16 off antisymmetric: exact inequality refused the complex
+    # copy that the float rule passes as float64
+    sigmas = sp.sigma_generators(sp.gamma_set_for_signature(Signature(1, 1)))
+    near = np.array([[0.0, 1e6], [-np.nextafter(1e6, 0.0), 0.0]])
+    far = np.array([[0.0, 1.0], [-0.5, 0.0]])
+
+    def decide(coeffs, dtype):
+        psi = np.ones(2)
+        return decision(lambda: sp.spinor_cov_deriv(coeffs.astype(dtype), 0 * psi, psi, sigmas))
+
+    assert decide(near, float) is decide(near, complex) is None
+    assert decide(far, float) is decide(far, complex) is ValueError
+    assert decide(np.array([[0.0, complex(np.nan, 1.0)], [0.0, 0.0]]), complex) is ValueError
+
+
 def test_a_window_is_relative_to_the_path():
     # a path of length 1e-13 has a window of 1e-25, not 1e-12
     short = Path(np.array([0.0, 1e-13]), np.array([0.0, 1.0]))

@@ -22,6 +22,7 @@ from clifbundle.cli import main
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 _rk4_step, _step_grid, _power_increment = tr.rk4_step, tr._step_grid, tr._power_increment
 _minkowski_gamma_set, _covariant_hessian = fl.minkowski_gamma_set, fl._covariant_hessian
+_ring_windows = fl._ring_windows
 
 
 def _rk4_with_minus_h(apply_h, y, time, step):
@@ -206,3 +207,46 @@ def test_dalembert_rows_witness_their_defect(tmp_path, monkeypatch, name, defect
     assert main(argv) == 1
     report = json.loads((tmp_path / "dirac_report.json").read_text())
     assert {c["name"] for c in report["checks"] if c["status"] == "fail"} == failing
+
+
+def _ring_colours_one_site_too_tight(n):
+    # sites of one colour 8 apart: a window of 9 sites holds an impulse at each end
+    return next((k for k in range(8, n) if n % k == 0 or n % k >= 8), n)
+
+
+def _ring_windows_mirrored(pad, n):
+    # the gather reads psi(y - o) where the stencil holds the coefficient of psi(y + o)
+    return _ring_windows(pad, n)[:, ::-1]
+
+
+_GAUGE_256 = ["--grid", "256", "--potential", "plane-wave-gauge", "--charge", "0.5"]
+_CONSTANT_E_64 = ["--potential", "constant-E", "--charge", "0.5"]
+_CONSTANT_E_8 = ["--grid", "8", "--potential", "constant-E", "--charge", "0.5"]
+
+
+# the 1-D site-dependent runs of scripts/report_digest.py, where the ring
+# stencil steps: 256 sites take 13 colours, 64 sites 11, and 8 sites one
+# colour each, which the tight colouring leaves as it is.  The mirrored
+# gather steps by the parity image of the true step, up to the coupling's
+# change across one stencil, and parity keeps the norm: on the weak, smooth
+# gauge field of the 256-site run it drifts 5.1e-9, inside the row's 1e-8
+@pytest.mark.parametrize(
+    "name, defect, argv",
+    [
+        ("_ring_colours", _ring_colours_one_site_too_tight, _GAUGE_256),
+        ("_ring_colours", _ring_colours_one_site_too_tight, _CONSTANT_E_64),
+        ("_ring_windows", _ring_windows_mirrored, _CONSTANT_E_64),
+        ("_ring_windows", _ring_windows_mirrored, _CONSTANT_E_8),
+    ],
+    ids=[
+        "colours-8-apart-gauge-256", "colours-8-apart-constant-E-64",
+        "mirrored-gather-constant-E-64", "mirrored-gather-constant-E-8",
+    ],
+)
+def test_norm_drift_witnesses_a_ring_stencil_defect(tmp_path, monkeypatch, name, defect, argv):
+    argv = ["dirac", "--scenario", "dispersion", *argv, "--out", str(tmp_path)]
+    assert main(argv) == 0
+    monkeypatch.setattr(fl, name, defect)
+    assert main(argv) == 1
+    report = json.loads((tmp_path / "dirac_report.json").read_text())
+    assert {c["name"] for c in report["checks"] if c["status"] == "fail"} == {"norm-drift"}
