@@ -58,6 +58,8 @@ RUNS = [
      "--potential", "plane-wave-gauge", "--charge", "0.5"],
     # A_0 alone varies by site: the ring stencil of an operator with no axis coupling
     ["dirac", "--scenario", "dispersion", "--potential", "constant-E", "--charge", "0.5"],
+    # unequal extents and spacings: the per-axis coordinate strings and the C-order rows
+    ["dirac", "--scenario", "dispersion", "--grid", "4,6,5", "--spacing", "0.7,0.3,1.1"],
     # massless: the k = 0 mode has omega = 0 and takes the limit of the closed form
     ["dirac", "--scenario", "dispersion", "--mass", "0"],
     ["dirac", "--scenario", "kg-roundtrip"],

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -290,6 +291,28 @@ def test_transport_qubit_scenario(tmp_path):
     assert len(series) == 22
 
 
+def test_transport_psi_series_bytes_match_csv_writer(tmp_path):
+    path = str(Path(__file__).resolve().parents[1] / "scenarios" / "qubit_gauged.json")
+    out = tmp_path / "out"
+    assert main(["transport", "--scenario", path, "--out", str(out)]) == 0
+    # the series recomputed and written by csv.writer, as the command once wrote it
+    scenario = tr.load_scenario(path)
+    transport = tr.Transport.build(
+        scenario.path, scenario.hamiltonian, scenario.trivialization, scenario.dt
+    )
+    t0, t1 = scenario.path.t_start, scenario.path.t_end
+    psi0 = np.zeros(scenario.fibre_dim, dtype=complex)
+    psi0[0] = 1.0
+    times = np.linspace(t0, t1, 21)
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        parts = [f"{part}_psi{k}" for k in range(scenario.fibre_dim) for part in ("re", "im")]
+        writer.writerow(["t"] + parts)
+        for t, psi in zip(times, transport.propagate(times, t0) @ psi0):
+            writer.writerow([t] + [v for comp in psi for v in (comp.real, comp.imag)])
+    assert (out / "psi_series.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def test_transport_zero_hamiltonian_all_tiny(tmp_path):
     data = qubit_scenario_dict()
     data["hamiltonian"] = {"type": "zero"}
@@ -572,21 +595,58 @@ def row_by_row_snapshot_csv(path, grid, comps) -> None:
             writer.writerow(coords + vals)
 
 
-@pytest.mark.parametrize("block", [cli.SNAPSHOT_ROWS, 7])
+# floats whose repr is easy to get wrong: non-finite, signed zeros, subnormals,
+# exponent switches, the edge of exact integers and a sum with no short decimal
+REPR_STRESS = [
+    np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.225e-308,
+    1e16, -1e16, 1e-5, 2.0**53 - 1, 2.0**53 + 1, 0.1 + 0.2,
+]
+SNAPSHOT_GRID = fl.Grid((4, 5, 6), (0.1, 2 * np.pi / 5, 1 / 3))
+
+
+@pytest.mark.parametrize("block", [1, 7, cli.SNAPSHOT_ROWS, SNAPSHOT_GRID.volume + 1])
 def test_field_snapshot_bytes_match_the_row_by_row_writer(tmp_path, monkeypatch, block):
     monkeypatch.setattr(cli, "SNAPSHOT_ROWS", block)
-    grid = fl.Grid((4, 5, 6), (0.1, 2 * np.pi / 5, 1 / 3))
+    grid = SNAPSHOT_GRID
     rng = np.random.default_rng(8)
-    comps = rng.normal(size=(2,) + grid.extents) + 1j * rng.normal(size=(2,) + grid.extents)
-    comps[0, 0, 0, 0] = complex(-0.0, 5e-324)
-    comps[1, 3, 4, 5] = complex(1e16, -0.0)
-    comps[0, 2, 1, 3] = complex(-5e-324, -1e16)
+    psi = fl.SpinorField(grid, rng.normal(size=(2,) + grid.extents) + 0j)
+    # the field refuses non-finite entries when built, so the stress values go
+    # into its array afterwards: on the real parts of the first sites and,
+    # reversed, on the imaginary parts of the last
+    flat = psi.components.reshape(-1)
+    n = len(REPR_STRESS)
+    flat.real[:n] = REPR_STRESS
+    flat.imag[-n:] = REPR_STRESS[::-1]
     args = argparse.Namespace(out=str(tmp_path / "new"))
-    cli._write_field_snapshot(args, grid, fl.SpinorField(grid, comps), "field")
-    row_by_row_snapshot_csv(tmp_path / "old.csv", grid, comps)
+    cli._write_field_snapshot(args, grid, psi, "field")
+    row_by_row_snapshot_csv(tmp_path / "old.csv", grid, psi.components)
     assert (tmp_path / "new" / "field.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
     header = json.loads((tmp_path / "new" / "field_header.json").read_text())
     assert header["grid"]["periodic"] == [True, True, True]
+
+
+def test_field_snapshot_peak_memory_is_bounded_by_its_blocks(tmp_path, monkeypatch):
+    rng = np.random.default_rng(3)
+    args = argparse.Namespace(out=str(tmp_path))
+
+    def peak(extents):
+        grid = fl.Grid(extents, (0.1, 0.2, 0.3))
+        shape = (4,) + extents
+        psi = fl.SpinorField(grid, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        tracemalloc.start()
+        try:
+            cli._write_field_snapshot(args, grid, psi, "field")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # a 4-spinor: SNAPSHOT_ROWS sites a block measured 0.35 MiB on 32^3, where
+    # the field is 2 MiB and the CSV about 6 MiB.  One block of the whole grid
+    # holds every cell's float at once and already fails on 16^3 (1.2 MiB)
+    bound = 1 << 20
+    assert peak((32, 32, 32)) < bound
+    monkeypatch.setattr(cli, "SNAPSHOT_ROWS", 16**3)
+    assert peak((16, 16, 16)) > bound
 
 
 def test_dirac_unknown_scenario_is_usage_error():
@@ -699,6 +759,24 @@ def test_dirac_dispersion_with_an_overflowing_symbol_is_refused_at_once():
     assert proc.stderr.splitlines()[-1].startswith(
         "error: the mode symbol has no two eigenvalues c +- omega"
     )
+
+
+def test_dirac_dispersion_never_imports_numpy_random(tmp_path):
+    # only hermiticity and wrap-check draw from --seed; importing numpy.random
+    # costs a fresh process 9-20 ms
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys; from clifbundle.cli import main; "
+        f"rc = main(['dirac', '--scenario', 'dispersion', '--out', {str(tmp_path)!r}]); "
+        "print(rc, 'numpy.random' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert (tmp_path / "dirac_field.csv").exists()
 
 
 @pytest.mark.parametrize("grid", ["16", "8,8,8"])
